@@ -7,8 +7,10 @@ through the network simulator on a given partition geometry:
    multi-core rank counts);
 2. for every BFS step, the rank exchange pairs are aggregated into a
    node-to-node traffic matrix (intra-node pairs drop out);
-3. each node pair's volume is routed dimension-ordered and the step's
-   time is the bottleneck link load over capacity;
+3. each round's node pairs are batch-routed dimension-ordered in one
+   pass (:func:`repro.netsim.batchroute.batch_dimension_ordered_routes`)
+   and the round's time is its bottleneck link load over capacity
+   (:meth:`repro.netsim.network.LinkNetwork.bottleneck_time`);
 4. step times add up (CAPS steps are globally synchronized), yielding
    the communication time; computation time comes from the calibrated
    flop rate and is geometry-independent.
@@ -29,9 +31,9 @@ from .._validation import check_positive_float, check_positive_int
 from ..allocation.geometry import PartitionGeometry
 from ..kernels.caps import CapsConfig, caps_computation_time, caps_steps
 from ..kernels.costmodel import LINK_BANDWIDTH_GB_PER_S
+from ..netsim.batchroute import batch_dimension_ordered_routes
 from ..netsim.embedding import block_embedding
 from ..netsim.network import LinkNetwork
-from ..netsim.routing import dimension_ordered_route
 
 __all__ = ["MatmulResult", "run_caps_on_geometry", "step_traffic_matrix"]
 
@@ -205,51 +207,29 @@ def run_caps_on_geometry(
         node_order=node_order,
     )
     node_of_rank = emb.node_indices
-    verts = list(torus.vertices())
 
     config = CapsConfig(
         n=matrix_dim, num_ranks=num_ranks, digit_order=digit_order
     )
-    path_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def bottleneck(
-        src_n: np.ndarray, dst_n: np.ndarray, counts: np.ndarray,
-        gb_per_pair: float,
-    ) -> float:
-        load = np.zeros(net.num_links, dtype=float)
-        for s, d, c in zip(src_n, dst_n, counts):
-            key = (int(s), int(d))
-            path = path_cache.get(key)
-            if path is None:
-                path = net.path_to_links(
-                    dimension_ordered_route(
-                        torus, verts[key[0]], verts[key[1]]
-                    )
-                )
-                path_cache[key] = path
-            if len(path):
-                load[path] += float(c) * gb_per_pair
-        if not load.any():
-            return 0.0
-        return float((load / net.capacities).max())
-
     step_times: list[float] = []
     for step in caps_steps(config):
         gb_per_pair = step.bytes_per_rank / (step.group_size - 1) / _GB
-        if schedule == "superposition":
+        # Superposition is one round holding every partner (offset None).
+        rounds = (
+            [None] if schedule == "superposition"
+            else range(1, step.group_size)
+        )
+        total = 0.0
+        for j in rounds:
             src_n, dst_n, counts = step_traffic_matrix(
-                num_ranks, step.stride, step.group_size, node_of_rank
+                num_ranks, step.stride, step.group_size, node_of_rank,
+                round_offset=j,
             )
-            step_times.append(bottleneck(src_n, dst_n, counts, gb_per_pair))
-        else:
-            total = 0.0
-            for j in range(1, step.group_size):
-                src_n, dst_n, counts = step_traffic_matrix(
-                    num_ranks, step.stride, step.group_size, node_of_rank,
-                    round_offset=j,
-                )
-                total += bottleneck(src_n, dst_n, counts, gb_per_pair)
-            step_times.append(total)
+            total += net.bottleneck_time(
+                batch_dimension_ordered_routes(torus, src_n, dst_n),
+                counts * gb_per_pair,
+            )
+        step_times.append(total)
     comm = sum(step_times) * comm_slowdown
     comp = caps_computation_time(config)
     return MatmulResult(

@@ -35,7 +35,6 @@ back to the oracle router.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -959,24 +958,3 @@ def total_route_hops(torus: Torus) -> int:
     ``sum(a_k // 2)`` hops, times ``|V|`` flows.
     """
     return torus.num_vertices * sum(a // 2 for a in torus.dims)
-
-
-def _selftest_small() -> None:  # pragma: no cover - debugging helper
-    """Exhaustive check against the scalar oracle on a tiny torus."""
-    from .network import LinkNetwork
-    from .routing import dimension_ordered_route
-
-    torus = Torus((4, 3, 2))
-    net = LinkNetwork(torus)
-    verts = list(torus.vertices())
-    pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))]
-    src = np.asarray([i for i, _ in pairs])
-    dst = np.asarray([j for _, j in pairs])
-    for tie in ("parity", "positive"):
-        pm = batch_dimension_ordered_routes(torus, src, dst, tie=tie)
-        for f, (i, j) in enumerate(pairs):
-            want = net.path_to_links(
-                dimension_ordered_route(torus, verts[i], verts[j], tie=tie)
-            )
-            assert pm[f].tolist() == want.tolist(), (verts[i], verts[j])
-    assert math.prod(torus.dims) == torus.num_vertices

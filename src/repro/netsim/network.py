@@ -203,17 +203,26 @@ class LinkNetwork:
         *volumes* defaults to 1 per flow.  Returns an array of length
         :attr:`num_links`.
         """
-        load = np.zeros(self.num_links, dtype=float)
-        if volumes is None:
-            from .batchroute import PathMatrix
+        from .batchroute import PathMatrix
 
-            if isinstance(paths, PathMatrix):
+        if isinstance(paths, PathMatrix):
+            if volumes is None:
                 # Unweighted loads are pure counts: one bincount over the
                 # flat CSR link-id array (exact — integer accumulation).
                 counts = np.bincount(
                     paths.link_ids, minlength=self.num_links
                 )
                 return counts.astype(float)
+            # One weighted bincount: each link sums its flows' volumes in
+            # flow order, the same additions as the per-flow loop below.
+            weights = np.repeat(
+                np.asarray(volumes, dtype=float), paths.lengths
+            )
+            return np.bincount(
+                paths.link_ids, weights=weights, minlength=self.num_links
+            )
+        load = np.zeros(self.num_links, dtype=float)
+        if volumes is None:
             for p in paths:
                 if len(p):
                     np.add.at(load, p, 1.0)
@@ -234,6 +243,14 @@ class LinkNetwork:
         scheduling, all traffic finishes no earlier than the most loaded
         link allows.  For symmetric patterns (the bisection pairing
         benchmark) it coincides with the max-min fluid completion time.
+        Unloaded links are ignored, so a failed (zero-capacity) link
+        costs nothing until traffic crosses it, and then costs ``inf``.
+
+        This is the round kernel of the bulk-synchronous schedules: CAPS
+        (:mod:`repro.experiments.matmul`) and
+        :func:`repro.netsim.schedule.simulate_rounds` pass one
+        batch-routed :class:`~repro.netsim.batchroute.PathMatrix` per
+        round, whose load is a single weighted ``bincount``.
         """
         load = self.load_of_flows(paths, volumes)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -5,13 +5,15 @@ exchanges, FFT transposes — execute as a sequence of globally
 synchronized *rounds*, each round a set of point-to-point transfers.
 This module provides the common machinery:
 
-* :class:`RouteCache` — memoized dimension-ordered routing from dense
-  node indices to link-id arrays;
+* :class:`RouteCache` — dimension-ordered batch routing from dense
+  node indices to link ids, bound to one network and tie policy;
 * :class:`TransferRound` — one round: parallel ``(src, dst, volume)``
   transfers between node indices;
 * :func:`simulate_rounds` — total time under the static bottleneck
-  model (each round completes when its most loaded link drains), the
-  same model the experiment harnesses use.
+  model (each round completes when its most loaded link drains): one
+  batch route and one weighted ``bincount`` per round through
+  :meth:`~repro.netsim.network.LinkNetwork.bottleneck_time`, the same
+  kernel the CAPS experiment uses.
 
 Volumes are in the same units as link capacity × time (the experiments
 use GB and GB/s).
@@ -19,20 +21,21 @@ use GB and GB/s).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..topology.torus import Torus
+from .batchroute import PathMatrix, batch_dimension_ordered_routes
 from .network import LinkNetwork
-from .routing import dimension_ordered_route
 
 __all__ = ["RouteCache", "TransferRound", "simulate_rounds"]
 
 
 class RouteCache:
-    """Memoized routing between dense node indices of a torus network."""
+    """Dimension-ordered routing between dense node indices of a torus
+    network, with a fixed tie policy."""
 
     def __init__(self, network: LinkNetwork, torus: Torus, tie: str = "parity"):
         if network.topology is not torus and network.topology != torus:
@@ -42,9 +45,7 @@ class RouteCache:
             )
         self._net = network
         self._torus = torus
-        self._verts = list(torus.vertices())
         self._tie = tie
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def network(self) -> LinkNetwork:
@@ -52,21 +53,17 @@ class RouteCache:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._verts)
+        return self._torus.num_vertices
+
+    def routes(self, src: Sequence[int], dst: Sequence[int]) -> PathMatrix:
+        """Routes of every pair ``(src[i], dst[i])``, batch-routed at once."""
+        return batch_dimension_ordered_routes(
+            self._torus, src, dst, tie=self._tie
+        )
 
     def links(self, src: int, dst: int) -> np.ndarray:
         """Directed link ids of the route from node index *src* to *dst*."""
-        key = (src, dst)
-        path = self._cache.get(key)
-        if path is None:
-            path = self._net.path_to_links(
-                dimension_ordered_route(
-                    self._torus, self._verts[src], self._verts[dst],
-                    tie=self._tie,
-                )
-            )
-            self._cache[key] = path
-        return path
+        return self.routes([src], [dst])[0]
 
 
 @dataclass(frozen=True)
@@ -120,20 +117,17 @@ def simulate_rounds(
 
     Each round's time is its most loaded link's volume divided by that
     link's capacity; rounds are globally synchronized so times add.
-    Intra-node transfers (src == dst) are free.
+    Intra-node transfers (src == dst) are free.  On a faulted network a
+    failed link costs nothing unless a transfer crosses it, and then
+    the round takes ``inf``.
     """
     net = cache.network
     per_round: list[float] = []
     for rnd in rounds:
-        load = np.zeros(net.num_links, dtype=float)
-        for i, (s, d) in enumerate(zip(rnd.sources, rnd.destinations)):
-            if s == d:
-                continue
-            path = cache.links(s, d)
-            if len(path):
-                load[path] += rnd.volume_of(i)
-        if load.any():
-            per_round.append(float((load / net.capacities).max()))
-        else:
-            per_round.append(0.0)
+        volumes = np.broadcast_to(
+            np.asarray(rnd.volumes, dtype=float), (len(rnd.sources),)
+        )
+        per_round.append(net.bottleneck_time(
+            cache.routes(rnd.sources, rnd.destinations), volumes
+        ))
     return sum(per_round), per_round

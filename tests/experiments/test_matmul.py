@@ -11,6 +11,7 @@ from repro.experiments.matmul import (
     run_caps_on_geometry,
     step_traffic_matrix,
 )
+from tests.oracles.round_bottleneck import caps_step_times
 
 # One midplane (512 nodes) with 343 ranks: small enough for unit tests.
 SMALL = dict(num_ranks=343, matrix_dim=2744, max_cores=4)
@@ -118,6 +119,34 @@ class TestRunCaps:
         a = run_caps_on_geometry(geo, num_ranks=2401, matrix_dim=9408)
         b = run_caps_on_geometry(geo, num_ranks=2401, matrix_dim=9408)
         assert a.communication_time == b.communication_time
+
+
+class TestScalarOracle:
+    """Batch-routed rounds equal the per-pair loop, step time for step time."""
+
+    @pytest.mark.parametrize("node_order", ["tedcba", "abcdet"])
+    @pytest.mark.parametrize("digit_order", ["deep-major", "top-major"])
+    @pytest.mark.parametrize("schedule", ["rounds", "superposition"])
+    @pytest.mark.parametrize(
+        "dims,num_ranks,matrix_dim",
+        [
+            ((2, 1, 1, 1), 343, 2744),
+            ((2, 1, 1, 1), 2401, 9408),
+            ((4, 1, 1, 1), 4802, 9408),
+            ((2, 2, 1, 1), 4802, 9408),
+        ],
+    )
+    def test_step_times_match(
+        self, dims, num_ranks, matrix_dim, schedule, digit_order, node_order
+    ):
+        kwargs = dict(
+            num_ranks=num_ranks, matrix_dim=matrix_dim, max_cores=4,
+            schedule=schedule, digit_order=digit_order,
+            node_order=node_order,
+        )
+        geo = PartitionGeometry(dims)
+        got = run_caps_on_geometry(geo, **kwargs).step_times
+        assert got == caps_step_times(geo, **kwargs)
 
 
 class TestGeometrySensitivity:

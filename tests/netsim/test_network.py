@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.netsim.batchroute import batch_dimension_ordered_routes
 from repro.netsim.network import LinkNetwork
 from repro.topology.clique_product import CliqueProduct
 from repro.topology.torus import Torus
@@ -71,6 +72,18 @@ class TestPaths:
         load = net.load_of_flows([p, p], volumes=[1.0, 2.0])
         assert load[p[0]] == 3.0
         assert load.sum() == 6.0
+
+    def test_weighted_load_pathmatrix_equals_list(self):
+        torus = Torus((4, 3, 2))
+        net = LinkNetwork(torus)
+        n = torus.num_vertices
+        src = np.repeat(np.arange(n), n)
+        dst = np.tile(np.arange(n), n)
+        pm = batch_dimension_ordered_routes(torus, src, dst)
+        volumes = 0.1 + 0.37 * (np.arange(n * n) % 13)
+        want = net.load_of_flows(list(pm), volumes=volumes.tolist())
+        got = net.load_of_flows(pm, volumes=volumes)
+        assert np.array_equal(got, want)
 
     def test_bottleneck_time(self):
         net = LinkNetwork(Torus((4,)), link_bandwidth=2.0)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.faults import FaultSet
 from repro.netsim.collectives import (
     pairwise_alltoall,
     recursive_doubling_allreduce,
@@ -13,6 +16,7 @@ from repro.netsim.collectives import (
 from repro.netsim.network import LinkNetwork
 from repro.netsim.schedule import RouteCache, TransferRound, simulate_rounds
 from repro.topology.torus import Torus
+from tests.oracles.round_bottleneck import ScalarRounds
 
 
 @pytest.fixture
@@ -70,11 +74,48 @@ class TestSimulateRounds:
         total, _ = simulate_rounds(cache, [rnd])
         assert total == pytest.approx(2.0)  # 4 GB on the shared link
 
-    def test_cache_reuse(self, ring8):
-        _, _, cache = ring8
-        a = cache.links(0, 3)
-        b = cache.links(0, 3)
-        assert a is b
+    def test_links_match_scalar_route(self, ring8):
+        torus, net, cache = ring8
+        oracle = ScalarRounds(net, torus)
+        for s in range(8):
+            for d in range(8):
+                assert cache.links(s, d).tolist() == oracle.links(s, d).tolist()
+
+    def test_failed_link_off_path_is_free(self, ring8):
+        """A failed link no transfer crosses must not turn the round
+        time into NaN (0/0 on the dead link); a crossed one is inf."""
+        torus, net, _ = ring8
+        faulted = net.with_faults(FaultSet(failed_links=[((4,), (5,))]))
+        cache = RouteCache(faulted, torus)
+        total, per = simulate_rounds(
+            cache, [TransferRound((0,), (1,), 6.0)]
+        )
+        assert (total, per) == (3.0, [3.0])
+        total, _ = simulate_rounds(cache, [TransferRound((4,), (5,), 6.0)])
+        assert total == math.inf
+
+    @pytest.mark.parametrize("tie", ["parity", "positive"])
+    def test_matches_scalar_oracle(self, tie):
+        """Exact per-round equality with the per-pair loop on a 3-D
+        torus with a length-2 dimension (one merged link slot)."""
+        torus = Torus((4, 3, 2))
+        net = LinkNetwork(torus, link_bandwidth=2.0)
+        n = torus.num_vertices
+        rounds = [
+            TransferRound(
+                r.sources, r.destinations,
+                tuple(0.1 + 0.37 * ((7 * i + j) % 11) for i in range(n)),
+            )
+            for j, r in enumerate(pairwise_alltoall(n, 1.0))
+        ]
+        oracle = ScalarRounds(net, torus, tie=tie)
+        want = [
+            oracle.round_time(r.sources, r.destinations, r.volumes)
+            for r in rounds
+        ]
+        total, per = simulate_rounds(RouteCache(net, torus, tie=tie), rounds)
+        assert per == want
+        assert total == sum(want)
 
 
 class TestCollectives:
