@@ -81,8 +81,12 @@ def algebraic_connectivity(topo: Topology, normalized: bool = False) -> float:
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import eigsh
 
+    # A fixed start vector makes ARPACK repeatable; not the all-ones
+    # vector, which is the Laplacian's null vector.
+    v0 = np.random.default_rng(0).standard_normal(n)
     vals = eigsh(
-        csr_matrix(L), k=2, which="SM", return_eigenvectors=False, tol=1e-9
+        csr_matrix(L), k=2, which="SM", return_eigenvectors=False, tol=1e-9,
+        v0=v0,
     )
     return float(sorted(vals)[1])
 
@@ -119,7 +123,8 @@ def fiedler_cut(topo: Topology) -> tuple[set[Vertex], float]:
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import eigsh
 
-        vals, vecs = eigsh(csr_matrix(L), k=2, which="SM", tol=1e-9)
+        v0 = np.random.default_rng(0).standard_normal(n)  # as above
+        vals, vecs = eigsh(csr_matrix(L), k=2, which="SM", tol=1e-9, v0=v0)
         order = np.argsort(vals)
         fiedler = vecs[:, order[1]]
     order = np.argsort(fiedler, kind="stable")

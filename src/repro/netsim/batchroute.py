@@ -407,7 +407,7 @@ def batch_dimension_ordered_routes(
     ----------
     torus:
         The torus network (healthy topology; for faulted networks use
-        the scalar :func:`repro.netsim.routing.fault_aware_route`).
+        :func:`batch_fault_aware_routes`).
         Degraded — reduced but non-zero — link capacities do not change
         dimension-ordered routes, so batch routing remains valid there.
     src, dst:

@@ -28,13 +28,14 @@ Degraded operation
 ------------------
 A :class:`~repro.faults.FaultSet` passed at construction removes links
 and nodes before the first message; routes then avoid failures (see
-:func:`repro.netsim.routing.fault_aware_route`).  Mid-run
-:class:`~repro.faults.FaultEvent`\\ s strike at a virtual time: in-flight
-transfers crossing a newly failed link are rerouted over surviving
-links when possible (counted in :attr:`RunResult.reroutes`, restarting
-the *remaining* volume on the new path), and when no route survives the
-run aborts with :class:`~repro.faults.PartitionDisconnectedError`
-carrying a structured :class:`~repro.faults.FaultReport`.
+:func:`repro.netsim.batchroute.batch_fault_aware_routes`).  Mid-run
+:class:`~repro.faults.FaultEvent`\\ s and repairs strike at a virtual
+time and re-route every cached pair in one batch call.  In-flight
+transfers crossing a newly failed link move to their new route (counted
+in :attr:`RunResult.reroutes`, restarting the *remaining* volume), and
+when no route survives the run aborts with
+:class:`~repro.faults.PartitionDisconnectedError` carrying a structured
+:class:`~repro.faults.FaultReport`.
 
 Deadlocks (all ranks blocked, nothing in flight) raise
 :class:`DeadlockError` naming the blocked ranks — mismatched tags and
@@ -87,13 +88,14 @@ from ..faults import (
     RepairEvent,
 )
 from ..netsim.batchroute import (
-    batch_dimension_ordered_routes,
+    batch_fault_aware_routes,
+    fault_capacity_plane,
     link_layout,
     vector_enabled,
 )
 from ..netsim.fairness import max_min_fair_rates
 from ..netsim.network import LinkNetwork
-from ..netsim.routing import check_tie, dimension_ordered_route, fault_aware_route
+from ..netsim.routing import check_tie
 from ..topology.torus import Torus
 from .ledger import FlowLedger
 from .ops import Barrier, Compute, Isend, Recv, Send, SendRecv
@@ -393,9 +395,8 @@ class _VectorFlows:
         """Re-path flows crossing a failed link; collect unroutable ones.
 
         Severed flows are found with one masked gather and visited in
-        flow-creation order (the oracle's list order), so the route
-        cache sees the same miss sequence and a disconnection aborts
-        with the same witness flow.
+        flow-creation order (the oracle's list order), so a
+        disconnection aborts with the same witness flow.
         """
         led = self.ledger
         self._act = None  # repaths retire slots out of creation order
@@ -495,7 +496,8 @@ class VirtualMpi:
     link_bandwidth:
         GB/s per unit link weight (2.0 for Blue Gene/Q).
     tie:
-        Routing tie-break (see :func:`dimension_ordered_route`);
+        Routing tie-break (see
+        :func:`~repro.netsim.routing.dimension_ordered_route`);
         validated eagerly here, not on the first routed message.
     faults:
         Faults present from virtual time 0 (failed/degraded links,
@@ -528,7 +530,9 @@ class VirtualMpi:
         check_positive_float(link_bandwidth, "link_bandwidth")
         check_tie(tie)
         self._torus = torus
-        self._base_net = LinkNetwork(torus, link_bandwidth=link_bandwidth)
+        self._base_caps = LinkNetwork(
+            torus, link_bandwidth=link_bandwidth
+        ).capacities
         self._verts = list(torus.vertices())
         if rank_to_node is None:
             self._rank_node = list(range(torus.num_vertices))
@@ -564,10 +568,8 @@ class VirtualMpi:
                         f"invalid repair event at time {ev.time}: {exc}"
                     ) from None
         self._max_events = check_positive_int(max_events, "max_events")
-        self._net0 = (
-            self._base_net.with_faults(self._faults0)
-            if self._faults0
-            else self._base_net
+        self._caps0 = fault_capacity_plane(
+            torus, self._base_caps, self._faults0
         )
         self._route_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -596,13 +598,15 @@ class VirtualMpi:
         the whole pattern in one vectorized call
         (:func:`repro.netsim.batchroute.batch_dimension_ordered_routes`)
         before :meth:`run` turns every in-run ``path_of`` lookup into a
-        cache hit.  On faulted topologies — or under ``REPRO_VECTOR=0``
-        — prefetching falls back to the scalar (fault-aware) router,
-        with identical cached paths.
+        cache hit.  On faulted topologies the same single call is
+        :func:`~repro.netsim.batchroute.batch_fault_aware_routes`, which
+        detours only the pairs whose natural route crosses a failure.
 
         Returns the number of routes added (pairs already cached, or
         given more than once, are skipped; same-node pairs cache an
-        empty path).
+        empty path).  A pair the construction-time faults disconnect
+        raises :class:`~repro.faults.PartitionDisconnectedError` after
+        the connected pairs are cached.
         """
         size = self.size
         cache = self._route_cache
@@ -622,33 +626,33 @@ class VirtualMpi:
             todo.append(key)
         if not todo:
             return 0
-        if not self._faults0 and vector_enabled():
-            src = np.asarray([s for s, _ in todo], dtype=np.int64)
-            dst = np.asarray([d for _, d in todo], dtype=np.int64)
-            pm = batch_dimension_ordered_routes(
-                self._torus, src, dst, tie=self._tie
+        routed, dead = self._route_pairs(todo, self._faults0)
+        cache.update(routed)
+        if dead:
+            s, d = next(key for key in todo if key in dead)
+            raise PartitionDisconnectedError(
+                self._verts[s], self._verts[d], self._faults0
             )
-            for i, key in enumerate(todo):
-                cache[key] = pm[i]
-        else:
-            for key in todo:
-                s, d = key
-                if self._faults0:
-                    verts = fault_aware_route(
-                        self._torus, self._verts[s], self._verts[d],
-                        self._faults0, tie=self._tie,
-                    )
-                else:
-                    verts = dimension_ordered_route(
-                        self._torus, self._verts[s], self._verts[d],
-                        tie=self._tie,
-                    )
-                cache[key] = self._net0.path_to_links(verts)
         if observability.OBS.enabled:
             observability.counter_add(
                 "simmpi.route_cache.warmed", len(todo)
             )
         return len(todo)
+
+    def _route_pairs(
+        self, keys: Sequence[tuple[int, int]], faults: FaultSet
+    ) -> tuple[dict[tuple[int, int], np.ndarray], set[tuple[int, int]]]:
+        """Route node pairs *keys* around *faults* in one batch call.
+
+        Returns the connected pairs' link ids keyed in *keys* order and
+        the set of pairs *faults* disconnect.
+        """
+        src, dst = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        pm, cut = batch_fault_aware_routes(
+            self._torus, src, dst, faults, tie=self._tie
+        )
+        dead = {keys[i] for i in cut.tolist()}
+        return {k: pm[i] for i, k in enumerate(keys) if k not in dead}, dead
 
     def _record_flow_trace(self, path: np.ndarray, gb: float) -> None:
         """Traced-mode accounting of one started flow (bytes per class)."""
@@ -662,13 +666,9 @@ class VirtualMpi:
                 per_dim[hot],
             )
 
-    def _degraded_mask(self, net: LinkNetwork) -> np.ndarray | None:
+    def _degraded_mask(self, caps: np.ndarray) -> np.ndarray | None:
         """Bool mask of links at reduced but non-zero capacity, or None."""
-        if net is self._base_net:
-            return None
-        caps = net.capacities
-        base = self._base_net.capacities
-        mask = (caps < base) & (caps > 0)
+        mask = (caps < self._base_caps) & (caps > 0)
         return mask if mask.any() else None
 
     # ------------------------------------------------------------------ #
@@ -702,35 +702,28 @@ class VirtualMpi:
         # even runs with scheduled mid-run events, whose routes are
         # unchanged until the first event actually *applies* (at which
         # point apply_event swaps in a private cache, keeping the
-        # pristine one intact for subsequent runs).
+        # pristine one intact for subsequent runs).  ``dead`` holds the
+        # cached pairs a later event disconnected.
         cur_faults = self._faults0
-        net = self._net0
+        caps = self._caps0
         cache = self._route_cache
-        degr_mask = self._degraded_mask(net)
+        dead: set[tuple[int, int]] = set()
+        degr_mask = self._degraded_mask(caps)
         evt_i = 0
 
         def path_of(src_node: int, dst_node: int) -> np.ndarray:
             key = (src_node, dst_node)
             path = cache.get(key)
             if path is None:
-                if obs.enabled:
-                    observability.counter_add("simmpi.route_cache.misses")
-                if cur_faults:
-                    verts = fault_aware_route(
-                        self._torus,
-                        self._verts[src_node],
-                        self._verts[dst_node],
+                if key not in dead:
+                    if obs.enabled:
+                        observability.counter_add("simmpi.route_cache.misses")
+                    path = self._route_pairs([key], cur_faults)[0].get(key)
+                if path is None:
+                    raise PartitionDisconnectedError(
+                        self._verts[src_node], self._verts[dst_node],
                         cur_faults,
-                        tie=self._tie,
                     )
-                else:
-                    verts = dimension_ordered_route(
-                        self._torus,
-                        self._verts[src_node],
-                        self._verts[dst_node],
-                        tie=self._tie,
-                    )
-                path = net.path_to_links(verts)
                 cache[key] = path
             elif obs.enabled:
                 observability.counter_add("simmpi.route_cache.hits")
@@ -738,9 +731,9 @@ class VirtualMpi:
 
         computing: dict[int, float] = {}          # rank -> finish time
         backend = (
-            _VectorFlows(len(self._net0.capacities))
+            _VectorFlows(len(caps))
             if vector_enabled()
-            else _OracleFlows(len(self._net0.capacities))
+            else _OracleFlows(len(caps))
         )
         barrier_waiters: list[int] = []
 
@@ -801,33 +794,34 @@ class VirtualMpi:
 
         def apply_event(ev: FaultEvent | RepairEvent) -> None:
             """Merge *ev* into the live fault state and re-path flows."""
-            nonlocal cur_faults, net, cache, degr_mask, reroutes, restores
-            if isinstance(ev, RepairEvent):
-                if obs.enabled:
-                    observability.counter_add("simmpi.repair_events")
+            nonlocal cur_faults, caps, cache, dead, degr_mask
+            nonlocal reroutes, restores
+            repair = isinstance(ev, RepairEvent)
+            if obs.enabled:
+                observability.counter_add(
+                    "simmpi.repair_events" if repair else "simmpi.fault_events"
+                )
+            if repair:
                 cur_faults = cur_faults.restore(
                     ev.links, ev.nodes, undirected=ev.undirected
                 )
-                net = (
-                    self._base_net.with_faults(cur_faults)
-                    if cur_faults
-                    else self._base_net
-                )
-                cache = {}
-                degr_mask = self._degraded_mask(net)
+            else:
+                cur_faults = cur_faults | ev.faults
+            caps = fault_capacity_plane(
+                self._torus, self._base_caps, cur_faults
+            )
+            # One batch re-route of every pair this run has asked for;
+            # the scans below then only hit the cache.
+            cache, dead = self._route_pairs([*cache, *dead], cur_faults)
+            degr_mask = self._degraded_mask(caps)
+            if repair:
                 # A repair never severs anything: every in-flight path
                 # stays usable.  Flows whose preferred route just came
                 # back switch over (restore), completing the
                 # fail→reroute→repair→restore cycle.
                 restores += backend.restore_routes(path_of)
                 return
-            if obs.enabled:
-                observability.counter_add("simmpi.fault_events")
-            cur_faults = cur_faults | ev.faults
-            net = self._base_net.with_faults(cur_faults)
-            cache = {}
-            degr_mask = self._degraded_mask(net)
-            delta, lost = backend.reroute_severed(net.capacities, path_of)
+            delta, lost = backend.reroute_severed(caps, path_of)
             reroutes += delta
             if lost:
                 report = FaultReport(
@@ -1014,7 +1008,7 @@ class VirtualMpi:
             dt = np.inf
             have_flows = len(backend) > 0
             if have_flows:
-                dt = backend.solve_dt(net.capacities)
+                dt = backend.solve_dt(caps)
             if computing:
                 dt = min(dt, min(computing.values()) - now)
             if evt_i < len(self._events):

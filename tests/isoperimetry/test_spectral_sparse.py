@@ -41,3 +41,20 @@ class TestSparsePath:
         # True bisection conductance: cut 2*26 / vol (27*26*4/2)... check
         # achieved is within the Cheeger window.
         assert cond > 0
+
+
+class TestSparseDeterminism:
+    """The Lanczos path starts from a fixed vector: repeats are exact."""
+
+    def test_connectivity_repeats_exactly(self, big_torus):
+        values = [algebraic_connectivity(big_torus) for _ in range(3)]
+        assert values[0] == values[1] == values[2]
+        expected = 2 - 2 * math.cos(2 * math.pi / 27)
+        assert values[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_fiedler_cut_repeats_exactly(self, big_torus):
+        first, cond = fiedler_cut(big_torus)
+        for _ in range(2):
+            again, again_cond = fiedler_cut(big_torus)
+            assert again == first
+            assert again_cond == cond

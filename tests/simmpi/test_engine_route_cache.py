@@ -8,9 +8,25 @@ the first event applies — only an applied event invalidates routes.
 
 from __future__ import annotations
 
-from repro.faults import FaultEvent, FaultSet
-from repro.simmpi import Recv, Send, SendRecv, VirtualMpi
+import pytest
+
+from repro.faults import (
+    FaultEvent,
+    FaultSet,
+    PartitionDisconnectedError,
+    RepairEvent,
+)
+from repro.netsim.routing import fault_aware_route
+from repro.simmpi import (
+    Compute,
+    Isend,
+    Recv,
+    Send,
+    SendRecv,
+    VirtualMpi,
+)
 from repro.topology import Torus
+from tests.oracles.scalar_routes import scalar_links
 
 
 def antipodal(rank, size):
@@ -18,23 +34,17 @@ def antipodal(rank, size):
 
 
 def counting_routes(monkeypatch):
-    """Patch the engine's routing entry points to count invocations."""
+    """Patch the engine's batch router to count its invocations."""
     import repro.simmpi.engine as engine_mod
 
     calls = {"n": 0}
-    real_dor = engine_mod.dimension_ordered_route
-    real_far = engine_mod.fault_aware_route
+    real = engine_mod.batch_fault_aware_routes
 
-    def dor(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls["n"] += 1
-        return real_dor(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    def far(*args, **kwargs):
-        calls["n"] += 1
-        return real_far(*args, **kwargs)
-
-    monkeypatch.setattr(engine_mod, "dimension_ordered_route", dor)
-    monkeypatch.setattr(engine_mod, "fault_aware_route", far)
+    monkeypatch.setattr(engine_mod, "batch_fault_aware_routes", counted)
     return calls
 
 
@@ -131,3 +141,94 @@ class TestPristineCacheReuse:
             assert path.tolist() == healthy._route_cache[key].tolist()
         # And the instance stays deterministically reusable.
         assert world.run(transfer) == first
+
+
+def recording_route_pairs(monkeypatch):
+    """Record every batch the engine routes: ``(faults, routed, dead)``."""
+    seen = []
+    real = VirtualMpi._route_pairs
+
+    def recorded(self, keys, faults):
+        routed, dead = real(self, keys, faults)
+        seen.append((faults, dict(routed), set(dead)))
+        return routed, dead
+
+    monkeypatch.setattr(VirtualMpi, "_route_pairs", recorded)
+    return seen
+
+
+class TestEventReroute:
+    """One batch re-route per event rebuilds the live cache."""
+
+    @pytest.mark.parametrize("tie", ["parity", "positive"])
+    @pytest.mark.parametrize(
+        "dims, cut",
+        [
+            ((4, 3, 2), [((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0))]),
+            ((8,), [((1,), (2,))]),
+        ],
+    )
+    def test_live_cache_matches_scalar_oracle(
+        self, monkeypatch, dims, cut, tie
+    ):
+        torus = Torus(dims)
+        n = torus.num_vertices
+        faults = FaultSet(failed_links=cut)
+
+        def program(rank, size):
+            # One antipodal round, then a shifted round: the second
+            # round's pairs are cache misses after the fault struck.
+            yield SendRecv(peer=(rank + size // 2) % size, gb=1.0)
+            yield Isend(dst=(rank + 1) % size, gb=1.0, tag=1)
+            yield Recv(src=(rank - 1) % size, tag=1)
+
+        world = VirtualMpi(
+            torus,
+            tie=tie,
+            fault_events=[
+                FaultEvent(time=0.1, faults=faults),
+                RepairEvent(time=0.6, links=tuple(cut)),
+            ],
+        )
+        seen = recording_route_pairs(monkeypatch)
+        res = world.run(program)
+        assert res.reroutes > 0
+        event_batches = [
+            (f, routed) for f, routed, _ in seen if len(routed) >= n
+        ]
+        # One re-route of the whole working set per event: the fault,
+        # then the repair back to the empty fault set.
+        assert [f for f, _ in event_batches] == [faults, FaultSet()]
+        for f, routed, dead in seen:
+            assert not dead
+            for (s, d), path in routed.items():
+                expected = scalar_links(torus, s, d, f, tie=tie)
+                assert path.tolist() == expected.tolist()
+
+    def test_cached_pair_disconnected_later_raises_like_scalar(self):
+        # Node 1 of the ring is cut off while no flow is in flight; the
+        # cached (0, 1) route must not survive the event.
+        ring = Torus((8,))
+        cut = FaultSet(failed_links=[((0,), (1,)), ((1,), (2,))])
+
+        def program(rank, size):
+            if rank == 0:
+                yield Send(dst=1, gb=1.0)
+                yield Compute(seconds=1.0)
+                yield Send(dst=1, gb=1.0, tag=1)
+            elif rank == 1:
+                yield Recv(src=0)
+                yield Recv(src=0, tag=1)
+
+        world = VirtualMpi(
+            ring, fault_events=[FaultEvent(time=1.0, faults=cut)]
+        )
+        with pytest.raises(PartitionDisconnectedError) as ei:
+            world.run(program)
+        with pytest.raises(PartitionDisconnectedError) as scalar:
+            fault_aware_route(ring, (0,), (1,), cut)
+        assert (ei.value.src, ei.value.dst) == (
+            scalar.value.src, scalar.value.dst
+        )
+        assert ei.value.faults == scalar.value.faults
+        assert ei.value.report == scalar.value.report

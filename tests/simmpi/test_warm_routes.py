@@ -1,9 +1,9 @@
 """Batch route-cache warmup (:meth:`VirtualMpi.warm_routes`).
 
 Prefetching a static communication pattern must (a) make every in-run
-route lookup a cache hit, (b) cache exactly the paths the scalar
-routers would have derived, and (c) fall back to the scalar fault-aware
-router on faulted topologies or under ``REPRO_VECTOR=0``.
+route lookup a cache hit and (b) cache exactly the paths the scalar
+fault-aware router would have derived — on healthy and faulted
+topologies and under ``REPRO_VECTOR=0`` alike.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import pytest
 
 from repro import observability
 from repro.faults import FaultSet
+from repro.netsim.network import LinkNetwork
 from repro.simmpi import SendRecv, VirtualMpi
 from repro.simmpi.engine import _link_dim_table
 from repro.topology import Torus
+from tests.oracles.scalar_routes import scalar_links
 
 
 def antipodal(rank, size):
@@ -27,23 +29,17 @@ def antipodal_pairs(size):
 
 
 def counting_routes(monkeypatch):
-    """Patch the engine's scalar routing entry points to count calls."""
+    """Patch the engine's batch router to count its invocations."""
     import repro.simmpi.engine as engine_mod
 
     calls = {"n": 0}
-    real_dor = engine_mod.dimension_ordered_route
-    real_far = engine_mod.fault_aware_route
+    real = engine_mod.batch_fault_aware_routes
 
-    def dor(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls["n"] += 1
-        return real_dor(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    def far(*args, **kwargs):
-        calls["n"] += 1
-        return real_far(*args, **kwargs)
-
-    monkeypatch.setattr(engine_mod, "dimension_ordered_route", dor)
-    monkeypatch.setattr(engine_mod, "fault_aware_route", far)
+    monkeypatch.setattr(engine_mod, "batch_fault_aware_routes", counted)
     return calls
 
 
@@ -74,6 +70,7 @@ class TestWarmRoutes:
         assert set(vec._route_cache) == set(scal._route_cache)
         for key, path in vec._route_cache.items():
             assert path.tolist() == scal._route_cache[key].tolist()
+            assert path.tolist() == scalar_links(torus, *key).tolist()
 
     def test_duplicates_and_cached_pairs_skipped(self):
         world = VirtualMpi(Torus((4, 4)))
@@ -98,13 +95,15 @@ class TestWarmRoutes:
         world = VirtualMpi(Torus((4,)), rank_to_node=[0, 0, 1, 2])
         assert world.warm_routes([(0, 2), (1, 2)]) == 1
 
-    def test_faulted_engine_warms_fault_aware_routes(self, monkeypatch):
+    def test_faulted_engine_warms_fault_aware_routes(self):
         ring = Torus((8,))
         faults = FaultSet(failed_links=[((1,), (2,))])
         world = VirtualMpi(ring, faults=faults)
-        calls = counting_routes(monkeypatch)
         assert world.warm_routes([(0, 4)]) == 1
-        assert calls["n"] == 1  # scalar fallback, not the batch router
+        assert (
+            world._route_cache[(0, 4)].tolist()
+            == scalar_links(ring, 0, 4, faults).tolist()
+        )
         # The route detours the other way around the ring: different
         # links than the pristine natural route.
         pristine = VirtualMpi(ring)
@@ -116,10 +115,11 @@ class TestWarmRoutes:
 
     def test_scalar_env_knob_forces_scalar_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR", "0")
-        world = VirtualMpi(Torus((4, 4)))
-        calls = counting_routes(monkeypatch)
+        torus = Torus((4, 4))
+        world = VirtualMpi(torus)
         assert world.warm_routes(antipodal_pairs(world.size)) == 16
-        assert calls["n"] == 16
+        for key, path in world._route_cache.items():
+            assert path.tolist() == scalar_links(torus, *key).tolist()
 
     def test_warmed_counter_emitted(self):
         s = observability.OBS
@@ -159,7 +159,7 @@ class TestLinkDimTable:
         t = Torus((4, 3, 2))
         world = VirtualMpi(t)
         table = world._link_dim_array()
-        net = world._base_net
+        net = LinkNetwork(t)
         assert len(table) == net.num_links
         for link in range(net.num_links):
             u, v = net.link_endpoints(link)
