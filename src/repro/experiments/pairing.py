@@ -227,17 +227,18 @@ def _pairing_block(
     :func:`run_pairing` per geometry (differential-tested).
     """
     scenarios = []
-    volumes = []
     for geometry, params in tasks:
         torus = geometry.bgq_network()
         net = LinkNetwork(torus, link_bandwidth=params.link_bandwidth)
         pm = pairing_path_matrix(torus, tie=params.tie)
         scenarios.append((pm, net.capacities, None))
-        volumes.append(
-            np.full(len(pm), params.volume_per_pair_gb, dtype=float)
-        )
     stack = StackedPathMatrix.from_scenarios(scenarios)
-    flat_volumes = np.concatenate(volumes)
+    # The stack holds its own copy of every path.
+    del scenarios, pm
+    flat_volumes = np.repeat(
+        [params.volume_per_pair_gb for _, params in tasks],
+        np.diff(stack.flow_base),
+    )
     sim = StackedFluidSimulation(stack, flat_volumes)
     makespans, _completions, initial_rates = sim.solve()
     results = []

@@ -486,57 +486,43 @@ def batch_dimension_ordered_routes(
     src_o = src_c[:, order]
     hops_o = hops[:, order]
     step_o = step[:, order]
-    a_o = np.broadcast_to(dims_arr[order], (n_flows, ndim))
-    strides_o = np.broadcast_to(
-        layout.strides[order], (n_flows, ndim)
-    )
-
-    # Linear-index contribution of every *other* dimension while dim k
-    # is being corrected: earlier dimensions (in order) sit at their
-    # destination coordinate, later ones at their source.
-    contrib_src = src_o * strides_o
-    contrib_dst = dst_c[:, order] * strides_o
-    prefix_dst = np.zeros((n_flows, ndim), dtype=np.int64)
-    np.cumsum(contrib_dst[:, :-1], axis=1, out=prefix_dst[:, 1:])
-    suffix_src = np.zeros((n_flows, ndim), dtype=np.int64)
-    if ndim > 1:
-        suffix_src[:, :-1] = np.cumsum(
-            contrib_src[:, :0:-1], axis=1
-        )[:, ::-1]
-    base_o = prefix_dst + suffix_src
-
-    # Expand the (flow, dimension) segments to one flat element per hop.
-    seg_len = hops_o.ravel()
-    total = int(seg_len.sum())
     offsets = np.zeros(n_flows + 1, dtype=np.int64)
     np.cumsum(hops_o.sum(axis=1), out=offsets[1:])
-    if total == 0:
+    if offsets[-1] == 0:
         return PathMatrix(np.empty(0, dtype=np.int64), offsets)
-    seg_starts = np.concatenate(
-        ([0], np.cumsum(seg_len)[:-1])
-    )
-    hop_idx = np.arange(total, dtype=np.int64) - np.repeat(
-        seg_starts, seg_len
-    )
 
-    def expand(grid: np.ndarray) -> np.ndarray:
-        return np.repeat(grid.ravel(), seg_len)
+    # Vertex rank where each (flow, dimension) segment starts: the
+    # source rank plus the moves of the dimensions corrected before it.
+    move = (dst_c[:, order] - src_o) * layout.strides[order]
+    start = np.cumsum(move, axis=1) - move + src[:, None]
 
-    c0 = expand(src_o)
-    s = expand(step_o)
-    aa = expand(a_o)
-    strd = expand(strides_o)
-    base = expand(base_o)
-    # Slot of the emitted link: +/− by step; merged for length-2 dims
-    # (slot_up == slot_down there, so the tie direction is irrelevant,
-    # exactly as ``LinkNetwork`` stores one directed link per pair).
-    slot_o = np.where(
-        step_o > 0, layout.slot_up[order], layout.slot_down[order]
+    # Compact to the live segments (hops > 0), in emission order.
+    seg = np.flatnonzero(hops_o)
+    k = order[seg % ndim]
+    seg_len = hops_o.ravel()[seg]
+    s = step_o.ravel()[seg]
+    c0 = src_o.ravel()[seg]
+    a = dims_arr[k]
+    # Per-hop link-id delta, first link, and the hop that wraps the ring
+    # (a segment is shorter than its ring, so it wraps at most once).
+    # Length-2 dimensions have one hop and one merged slot.
+    delta = s * layout.strides[k] * layout.degree
+    first = start.ravel()[seg] * layout.degree + np.where(
+        s > 0, layout.slot_up[k], layout.slot_down[k]
     )
-    slot = expand(slot_o)
+    wrap = np.where(s > 0, a - c0, c0 + 1)
+    wraps = wrap < seg_len
+    last = first + delta * (seg_len - 1) - np.where(wraps, delta * a, 0)
 
-    coord = (c0 + s * hop_idx) % aa
-    link_ids = (base + coord * strd) * layout.degree + slot
+    # Running sum: repeat the per-hop delta, then overwrite each segment
+    # start with the jump from the previous segment's last link and each
+    # wrap hop with its ring-closing step.
+    seg_start = np.cumsum(seg_len) - seg_len
+    link_ids = np.repeat(delta, seg_len)
+    first[1:] -= last[:-1]
+    link_ids[seg_start] = first
+    link_ids[(seg_start + wrap)[wraps]] = (delta * (1 - a))[wraps]
+    np.cumsum(link_ids, out=link_ids)
     return PathMatrix(link_ids, offsets)
 
 

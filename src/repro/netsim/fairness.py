@@ -197,7 +197,7 @@ def stacked_max_min_fair_rates(
 
     The stacked generalization of :func:`max_min_fair_rates`: because
     scenarios occupy disjoint regions of the flat link space, the
-    per-round bincount/saturation/freeze updates of all scenarios are
+    per-round load-count/saturation/freeze updates of all scenarios are
     computed by the same elementwise operations the scalar solver uses,
     and per-scenario increments come from exact segment minima
     (:func:`~repro.netsim.stacked.segment_min`).  Scenarios at
@@ -259,12 +259,12 @@ def stacked_max_min_fair_rates(
     n_scen = stack.num_scenarios
 
     lengths = stack.lengths
-    entry_fid = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
     entry_links = stack.link_ids
 
     # Scalar parity: a flow crossing a zero-capacity (failed) link must
     # have been rerouted before rates are solved.
     if np.any(capacities == 0):
+        entry_fid = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
         entry_dead = (capacities[entry_links] == 0) & act[entry_fid]
         if entry_dead.any():
             fid = int(entry_fid[entry_dead].min())
@@ -302,23 +302,32 @@ def stacked_max_min_fair_rates(
     cap_rem = capacities.copy()
     fill = np.zeros(n_scen, dtype=float)
     rounds_done = 0
-    ratio = np.empty(n_links, dtype=float)
-    link_scn = np.repeat(
-        np.arange(n_scen, dtype=np.int64), np.diff(stack.link_base)
-    )
+    # One link-length buffer holds each round's headroom ratio, then its
+    # capacity drop, then the saturation threshold.
+    work = np.empty(n_links, dtype=float)
+    scen_links = np.diff(stack.link_base)
+    # Freeze tests reduce over the entry ranges of the routed flows.
+    routed = ~empty
+    row_starts = stack.offsets[:-1][routed]
+    n_routed = len(row_starts)
     # Guard: each round freezes at least one flow per live scenario.
     for _round in range(n_flows + 1):
         if not unfrozen.any():
             break
         rounds_done += 1
-        entry_live = unfrozen[entry_fid]
-        counts = np.bincount(entry_links[entry_live], minlength=n_links)
+        all_live = np.count_nonzero(unfrozen) == n_routed
+        entry_live = None if all_live else np.repeat(unfrozen, lengths)
+        # np.add.at counts the read-only plane without bincount's copy.
+        counts = np.zeros(n_links, dtype=np.int64)
+        np.add.at(
+            counts, entry_links if all_live else entry_links[entry_live], 1
+        )
         used = counts > 0
         # Per-link headroom ratio; unused links are +inf so the segment
         # minimum sees exactly the scalar solver's cap_rem/counts set.
-        ratio.fill(np.inf)
-        np.divide(cap_rem, counts, out=ratio, where=used)
-        inc = segment_min(ratio, stack.link_base)
+        work.fill(np.inf)
+        np.divide(cap_rem, counts, out=work, where=used)
+        inc = segment_min(work, stack.link_base)
         if caps:
             head = np.where(unfrozen, demand_arr - fill[flow_scn], np.inf)
             inc = np.minimum(inc, segment_min(head, stack.flow_base))
@@ -327,11 +336,16 @@ def stacked_max_min_fair_rates(
         # no-ops and the scenario stays bit-frozen.
         inc[~np.isfinite(inc)] = 0.0
         fill += inc
-        cap_rem = cap_rem - counts * inc[link_scn]
-        saturated = used & (cap_rem <= _EPS * capacities)
+        np.multiply(counts, np.repeat(inc, scen_links), out=work)
+        np.subtract(cap_rem, work, out=cap_rem)
+        np.multiply(_EPS, capacities, out=work)
+        saturated = used & (cap_rem <= work)
         bottle |= saturated
-        hit_entries = entry_live & saturated[entry_links]
-        hit = np.bincount(entry_fid[hit_entries], minlength=n_flows) > 0
+        hit_entries = saturated[entry_links]
+        if not all_live:
+            hit_entries &= entry_live
+        hit = np.zeros(n_flows, dtype=bool)
+        hit[routed] = np.logical_or.reduceat(hit_entries, row_starts)
         if caps:
             hit |= unfrozen & (
                 fill[flow_scn] >= demand_arr - _EPS

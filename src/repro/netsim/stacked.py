@@ -199,15 +199,19 @@ class StackedPathMatrix:
             np.arange(len(flow_base) - 1, dtype=np.int64),
             np.diff(flow_base),
         )
-        # Every entry must stay inside its scenario's link region.
-        if len(link_ids):
-            entry_scen = scen[
-                np.repeat(np.arange(n_flows, dtype=np.int64),
-                          np.diff(offsets))
-            ]
-            lo = link_base[entry_scen]
-            hi = link_base[entry_scen + 1]
-            if np.any((link_ids < lo) | (link_ids >= hi)):
+        # Every entry must stay inside its scenario's link region: one
+        # min and one max per non-empty scenario entry range.
+        entry_base = offsets[flow_base]
+        nonempty = entry_base[1:] > entry_base[:-1]
+        if nonempty.any():
+            starts = entry_base[:-1][nonempty]
+            if np.any(
+                np.minimum.reduceat(link_ids, starts)
+                < link_base[:-1][nonempty]
+            ) or np.any(
+                np.maximum.reduceat(link_ids, starts)
+                >= link_base[1:][nonempty]
+            ):
                 raise ValueError(
                     "link_ids stray outside their scenario's "
                     "[link_base[s], link_base[s+1]) region"
@@ -275,15 +279,14 @@ class StackedPathMatrix:
         link_base = np.zeros(len(pms) + 1, dtype=np.int64)
         np.cumsum(link_counts, out=link_base[1:])
 
-        link_ids = np.concatenate(
-            [pm.link_ids + link_base[s] for s, pm in enumerate(pms)]
-        ) if flow_base[-1] else np.empty(0, dtype=np.int64)
         offsets = np.zeros(flow_base[-1] + 1, dtype=np.int64)
-        np.cumsum(
-            np.concatenate([pm.lengths for pm in pms])
-            if pms else np.empty(0, dtype=np.int64),
-            out=offsets[1:],
-        )
+        np.cumsum(np.concatenate([pm.lengths for pm in pms]),
+                  out=offsets[1:])
+        entry_base = offsets[flow_base]
+        link_ids = np.empty(entry_base[-1], dtype=np.int64)
+        for s, pm in enumerate(pms):
+            np.add(pm.link_ids, link_base[s],
+                   out=link_ids[entry_base[s] : entry_base[s + 1]])
         capacities = np.concatenate(caps)
 
         act = np.ones(int(flow_base[-1]), dtype=bool)

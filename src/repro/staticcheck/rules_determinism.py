@@ -40,6 +40,12 @@ _NP_RANDOM_OK = frozenset({
     "SFC64",
 })
 
+#: ARPACK solvers that start from a random vector unless given ``v0``
+#: (the sixth positional parameter of each).
+_ARPACK = frozenset(
+    f"scipy.sparse.linalg.{fn}" for fn in ("eigsh", "eigs", "svds")
+)
+
 #: ``time``-module calls that read the wall clock (or stall on it).
 _WALLCLOCK = frozenset({
     "time.time",
@@ -64,7 +70,7 @@ _DATETIME_NOW = frozenset({
 @register_rule
 class UnseededRandomRule(Rule):
     """Unseeded randomness: the global ``random``/``np.random`` state,
-    ``SystemRandom``, and ``os.urandom``."""
+    ``SystemRandom``, ``os.urandom``, and ARPACK solves without ``v0``."""
 
     id = "unseeded-random"
     summary = (
@@ -83,6 +89,8 @@ class UnseededRandomRule(Rule):
                 if name is None:
                     continue
                 bad = self._classify(name)
+                if name in _ARPACK and not self._passes_v0(node):
+                    bad = f"{name} without v0 starts ARPACK at random"
                 if bad:
                     yield self.finding(ctx, node, bad)
             elif isinstance(node, ast.ImportFrom):
@@ -96,6 +104,13 @@ class UnseededRandomRule(Rule):
                             f"importing {full} pulls in nondeterminism: "
                             f"{bad}",
                         )
+
+    @staticmethod
+    def _passes_v0(call: ast.Call) -> bool:
+        # ``**kwargs`` may carry v0; only a visible omission fires.
+        return len(call.args) >= 6 or any(
+            kw.arg in ("v0", None) for kw in call.keywords
+        )
 
     @staticmethod
     def _classify(name: str) -> str | None:

@@ -14,6 +14,7 @@ from repro.netsim.batchroute import (
 )
 from repro.netsim.fairness import max_min_fair_rates
 from repro.netsim.network import LinkNetwork
+from repro.netsim.routing import dimension_ordered_route
 from repro.topology.torus import Torus
 
 
@@ -120,6 +121,37 @@ class TestBatchRouterValidation:
             t, np.array([3, 5]), np.array([3, 5])
         )
         assert pm.lengths.tolist() == [0, 0]
+
+
+class TestExhaustiveRoutes:
+    """Every (src, dst) pair of small tori, link for link vs the oracle.
+
+    Rings of length 1 to 7 put every wrap position of the running-sum
+    expansion (each source coordinate, both directions, exact-half ties)
+    under test.
+    """
+
+    @pytest.mark.parametrize(
+        "dims", [(7, 2, 1), (6, 3), (5, 1, 4), (2, 7), (3, 6, 2)]
+    )
+    @pytest.mark.parametrize("tie", ["parity", "positive"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_all_pairs_match_scalar_router(self, dims, tie, reverse):
+        t = Torus(dims)
+        net = LinkNetwork(t)
+        verts = list(t.vertices())
+        n = len(verts)
+        order = list(range(t.ndim))[:: -1 if reverse else 1]
+        src = np.repeat(np.arange(n, dtype=np.int64), n)
+        dst = np.tile(np.arange(n, dtype=np.int64), n)
+        pm = batch_dimension_ordered_routes(
+            t, src, dst, dim_order=order, tie=tie
+        )
+        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            route = dimension_ordered_route(
+                t, verts[s], verts[d], dim_order=order, tie=tie
+            )
+            assert pm[i].tolist() == net.path_to_links(route).tolist()
 
 
 class TestVertexIndices:

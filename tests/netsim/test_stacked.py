@@ -151,6 +151,61 @@ class TestStackedPathMatrixConstruction:
                 capacities=np.array([1.0, 1.0]),
             )
 
+    def test_rejects_link_id_below_scenario_region(self):
+        with pytest.raises(ValueError, match="region"):
+            StackedPathMatrix(
+                link_ids=np.array([0, 0]),  # scenario 1 owns link 1 only
+                offsets=np.array([0, 1, 2]),
+                flow_base=np.array([0, 1, 2]),
+                link_base=np.array([0, 1, 2]),
+                capacities=np.array([1.0, 1.0]),
+            )
+
+    def test_rejects_stray_in_last_scenario(self):
+        with pytest.raises(ValueError, match="region"):
+            StackedPathMatrix(
+                link_ids=np.array([0, 1, 2, 3]),  # 3 is past the end
+                offsets=np.array([0, 1, 2, 4]),
+                flow_base=np.array([0, 1, 2, 3]),
+                link_base=np.array([0, 1, 2, 3]),
+                capacities=np.ones(3),
+            )
+
+    def test_rejects_stray_across_empty_scenario(self):
+        # Scenario 1 has no flows; scenario 2's entry strays into
+        # scenario 1's links.
+        with pytest.raises(ValueError, match="region"):
+            StackedPathMatrix(
+                link_ids=np.array([0, 1]),
+                offsets=np.array([0, 1, 2]),
+                flow_base=np.array([0, 1, 1, 2]),
+                link_base=np.array([0, 1, 2, 3]),
+                capacities=np.ones(3),
+            )
+
+    def test_accepts_empty_scenario_between_non_empty(self):
+        stack = StackedPathMatrix(
+            link_ids=np.array([0, 2]),
+            offsets=np.array([0, 1, 2]),
+            flow_base=np.array([0, 1, 1, 2]),
+            link_base=np.array([0, 1, 2, 3]),
+            capacities=np.ones(3),
+        )
+        assert stack.flow_scenarios.tolist() == [0, 2]
+
+    def test_accepts_scenario_of_zero_length_flows(self):
+        stack = StackedPathMatrix.from_scenarios(
+            [
+                (_pm([0]), np.array([1.0]), None),
+                (_pm([], []), np.array([1.0, 1.0]), None),
+                (_pm([1, 0]), np.array([1.0, 1.0]), None),
+            ]
+        )
+        assert stack.link_ids.tolist() == [0, 4, 3]
+        assert stack.lengths.tolist() == [1, 0, 0, 2]
+        rates = stacked_max_min_fair_rates(stack)
+        assert rates.tolist() == [1.0, np.inf, np.inf, 1.0]
+
     def test_repr(self):
         stack = StackedPathMatrix.from_scenarios(
             [(_pm([0]), np.array([1.0]), None)]

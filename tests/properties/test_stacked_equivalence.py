@@ -21,11 +21,13 @@ import math
 import types
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSet
 from repro.netsim.batchroute import (
+    batch_dimension_ordered_routes,
     batch_fault_aware_routes,
     fault_capacity_plane,
 )
@@ -204,6 +206,64 @@ class TestStackedFairnessEquivalence:
             scalar = max_min_fair_rates(pm, caps, active=active)
             got = flat[fs] if active is None else flat[fs][active]
             assert got.tobytes() == scalar.tobytes()
+
+
+class TestStackedEmptyPathInterleaving:
+    """Empty-path (src == dst) flows interleaved with multi-round
+    scenarios: the per-flow freeze test reduces over the entry ranges of
+    routed flows only, so empty rows must neither shift nor leak into
+    their neighbours' freeze decisions."""
+
+    @staticmethod
+    def _pieces(seed):
+        rng = np.random.default_rng(seed)
+        pieces = []
+        for dims in [(5, 3), (4, 2, 3), (1, 1), (6,)]:
+            torus = Torus(dims)
+            n = torus.num_vertices
+            src = rng.integers(0, n, size=12)
+            dst = rng.integers(0, n, size=12)
+            dst[::3] = src[::3]  # every third flow stays put
+            pm = batch_dimension_ordered_routes(torus, src, dst)
+            n_links = len(LinkNetwork(torus).capacities)
+            # Uneven capacities make the water-fill take several rounds.
+            caps = rng.choice([0.5, 1.0, 2.0, 3.0], size=n_links)
+            pieces.append((pm, caps, None))
+        return pieces
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("with_demands", [False, True])
+    def test_rates_and_bottlenecks_bitwise(self, seed, with_demands):
+        pieces = self._pieces(seed)
+        stack = StackedPathMatrix.from_scenarios(pieces)
+        rng = np.random.default_rng(1000 + seed)
+        demands = (
+            rng.uniform(0.05, 1.5, size=stack.num_flows)
+            if with_demands
+            else None
+        )
+        flat, bottlenecks = stacked_max_min_fair_rates(
+            stack, demands, return_bottlenecks=True
+        )
+        multi_round = False
+        for s, (pm, caps, _) in enumerate(pieces):
+            fs = stack.flow_slice(s)
+            lb = int(stack.link_base[s])
+            hb = int(stack.link_base[s + 1])
+            local_b = bottlenecks[
+                (bottlenecks >= lb) & (bottlenecks < hb)
+            ] - lb
+            scalar_rates, scalar_b = max_min_fair_rates(
+                pm,
+                caps,
+                None if demands is None else demands[fs],
+                return_bottlenecks=True,
+            )
+            assert flat[fs].tobytes() == scalar_rates.tobytes()
+            assert local_b.tobytes() == scalar_b.tobytes()
+            finite = scalar_rates[np.isfinite(scalar_rates)]
+            multi_round |= len(np.unique(finite)) > 1
+        assert multi_round
 
 
 class TestStackedFluidEquivalence:

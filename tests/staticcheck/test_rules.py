@@ -71,6 +71,36 @@ class TestUnseededRandom:
         """)
         assert not fired(res, "unseeded-random")
 
+    def test_arpack_without_v0_fires(self):
+        res = run("""
+            import scipy.sparse.linalg as sla
+            from scipy.sparse.linalg import eigsh, svds
+
+            def spectrum(L, A):
+                a = eigsh(L, k=2, which="SM")
+                b = sla.eigs(L, 3)
+                c = svds(A, k=1)
+                return a, b, c
+        """)
+        found = fired(res, "unseeded-random")
+        assert [f.line for f in found] == [6, 7, 8]
+        assert all("v0" in f.message for f in found)
+
+    def test_arpack_with_v0_clean(self):
+        res = run("""
+            import numpy as np
+            from scipy.sparse.linalg import eigs, eigsh, lobpcg, svds
+
+            def spectrum(L, A, opts):
+                v0 = np.random.default_rng(0).random(L.shape[0])
+                a = eigsh(L, k=2, which="SM", v0=v0)
+                b = eigs(L, 2, None, None, "LM", v0)
+                c = svds(A, k=1, **opts)
+                d = lobpcg(L, v0[:, None])
+                return a, b, c, d
+        """)
+        assert not fired(res, "unseeded-random")
+
     def test_suppression(self):
         res = run("""
             import os
