@@ -38,6 +38,7 @@ from repro.experiments.faultstudy import degraded_bisection_study
 from repro.machines.catalog import JUQUEEN, MIRA
 from repro.simmpi import SendRecv, VirtualMpi
 from repro.topology import Torus
+from tests.oracles.simmpi_flows import oracle_engine
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -388,10 +389,8 @@ def test_simmpi_engine_speedup(perf_record, report):
     world = VirtualMpi(torus, link_bandwidth=2.0)
     world.warm_routes([(r, r ^ 1) for r in range(n_ranks)])
 
-    saved = os.environ.get("REPRO_VECTOR")
     was_enabled = observability.enabled()
     try:
-        os.environ["REPRO_VECTOR"] = "1"
         # Warm pass, traced: warms every allocator/cache and counts the
         # scheduling events so the rate below needs no in-loop clock.
         observability.enable()
@@ -406,16 +405,12 @@ def test_simmpi_engine_speedup(perf_record, report):
             vector, t = _timed(lambda: world.run(program))
             t_vec.append(t)
 
-        os.environ["REPRO_VECTOR"] = "0"
         t_orc = []
-        for _ in range(2):
-            oracle, t = _timed(lambda: world.run(program))
-            t_orc.append(t)
+        with oracle_engine():
+            for _ in range(2):
+                oracle, t = _timed(lambda: world.run(program))
+                t_orc.append(t)
     finally:
-        if saved is None:
-            os.environ.pop("REPRO_VECTOR", None)
-        else:
-            os.environ["REPRO_VECTOR"] = saved
         observability.OBS.enabled = was_enabled
         observability.reset()
 

@@ -11,7 +11,9 @@ The implementation is fully vectorized and operates natively on the
 CSR :class:`~repro.netsim.batchroute.PathMatrix`: per-link active-flow
 counts are ``np.bincount`` over the flat link-id array, and the
 per-round freeze test is a second bincount over the flow-id companion
-array — no per-flow Python loop anywhere.  The historical
+array — no per-flow Python loop anywhere.  A caller that already
+tracks the per-link counts (the simmpi ledger) passes them in, and the
+first round runs without gathering the CSR at all.  The historical
 ``Sequence[np.ndarray]`` input shape is accepted through a thin
 :meth:`PathMatrix.from_paths` adapter, and produces identical floats:
 the round structure (counts, increments, fill levels) is unchanged, so
@@ -39,6 +41,7 @@ def max_min_fair_rates(
     demands: Sequence[float] | None = None,
     *,
     active: np.ndarray | None = None,
+    link_counts: np.ndarray | None = None,
     return_bottlenecks: bool = False,
     validate: bool = True,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -70,6 +73,14 @@ def max_min_fair_rates(
         treated as absent (no link usage).  The fluid engine uses this
         to re-solve shrinking flow sets without re-slicing the
         :class:`PathMatrix`.  Default: all flows.
+    link_counts:
+        Optional per-link count of the solved flows' entries (what
+        ``np.bincount`` over their paths gives), kept up to date by the
+        caller — the simmpi engine passes its ledger's load plane.  The
+        first round then needs no CSR gather, and when it saturates
+        every used link (every flow frozen) the solve never gathers;
+        otherwise the entries are gathered before the second round.
+        Rates are bit-identical either way.
     return_bottlenecks:
         When true, additionally return the sorted int64 ids of the
         *bottleneck links* — links that saturated while still carrying
@@ -109,12 +120,23 @@ def max_min_fair_rates(
             return rates, np.flatnonzero(bottle)
         return rates
 
-    # CSR compaction: gather the active flows' link entries once.
-    sub_links, sub_fids, lengths = gather_subset_entries(
-        pm.link_ids, pm.offsets, act
-    )
+    # CSR compaction: gather the active flows' link entries once — or,
+    # given the first round's counts, only if a second round needs them.
+    check_dead = validate and np.any(capacities == 0)
+    counts = None if check_dead else link_counts
+    sub_links = None
+    if counts is None:
+        sub_links, sub_fids, lengths = gather_subset_entries(
+            pm.link_ids, pm.offsets, act
+        )
+    elif len(counts) != n_links:
+        raise ValueError(
+            f"link_counts has {len(counts)} entries for {n_links} links"
+        )
+    else:
+        lengths = pm.offsets[act + 1] - pm.offsets[act]
 
-    if validate and np.any(capacities == 0):
+    if check_dead:
         # Zero capacity models a *failed* link (see repro.faults); flows
         # must be routed around failures before rates are solved.
         entry_dead = capacities[sub_links] == 0
@@ -146,7 +168,7 @@ def max_min_fair_rates(
     unfrozen = ~empty
     rates[empty] = np.inf if not caps else demand_act[empty]
 
-    cap_rem = capacities.astype(float).copy()
+    cap_rem = capacities.copy()
     fill = 0.0
     rounds_done = 0
     # Guard: each round freezes at least one flow.
@@ -154,22 +176,41 @@ def max_min_fair_rates(
         if not unfrozen.any():
             break
         rounds_done += 1
-        entry_live = unfrozen[sub_fids]
-        counts = np.bincount(sub_links[entry_live], minlength=n_links)
-        used = counts > 0
-        if not used.any():
+        if counts is None:
+            entry_live = unfrozen[sub_fids]
+            counts = np.bincount(sub_links[entry_live], minlength=n_links)
+        # Only used links move (cap_rem - 0 * inc is cap_rem exactly).
+        used = np.flatnonzero(counts > 0)
+        if not used.size:
             break
-        inc = float((cap_rem[used] / counts[used]).min())
+        used_counts = counts[used]
+        rem = cap_rem[used]
+        inc = float((rem / used_counts).min())
         if caps:
             head = demand_act[unfrozen] - fill
             inc = min(inc, float(head.min()))
         fill += inc
-        cap_rem = cap_rem - counts * inc
+        rem -= used_counts * inc
         # Freeze flows crossing a saturated link (or hitting their demand).
-        saturated = used & (cap_rem <= _EPS * capacities)
-        bottle |= saturated
-        hit_entries = entry_live & saturated[sub_links]
-        hit = np.bincount(sub_fids[hit_entries], minlength=n_act) > 0
+        sat = used[rem <= _EPS * capacities[used]]
+        if return_bottlenecks:
+            bottle[sat] = True
+        counts = None
+        if len(sat) == len(used):
+            # Every live flow crosses only used links, so all freeze.
+            hit = unfrozen.copy()
+        else:
+            # Only a later round reads the remaining capacities.
+            cap_rem[used] = rem
+            if sub_links is None:
+                sub_links, sub_fids, _ = gather_subset_entries(
+                    pm.link_ids, pm.offsets, act
+                )
+                entry_live = unfrozen[sub_fids]
+            saturated = np.zeros(n_links, dtype=bool)
+            saturated[sat] = True
+            hit_entries = entry_live & saturated[sub_links]
+            hit = np.bincount(sub_fids[hit_entries], minlength=n_act) > 0
         if caps:
             hit |= unfrozen & (fill >= demand_act - _EPS)
         hit &= unfrozen

@@ -46,18 +46,20 @@ transfer would start.
 
 Engine internals
 ----------------
-In-flight flows live in one of two interchangeable backends.  The
-default (:class:`_VectorFlows`) stores all flow state in a persistent
-array-native :class:`~repro.simmpi.ledger.FlowLedger` — an append-only
-CSR path arena plus ``remaining``/``group``/``active`` planes — so
-every event is a handful of numpy reductions: the fairness solve
-consumes a live :class:`~repro.netsim.batchroute.PathMatrix` view with
-active-subset indexing, ``dt`` is ``(remaining / rates).min()``, flow
-progress is ``remaining[act] -= rates * dt``, and group completion is
-a ``bincount``-style grouped reduction.  ``REPRO_VECTOR=0`` swaps in
-:class:`_OracleFlows`, the original per-``_Flow``-object loops kept
-verbatim as the differential oracle: both backends produce
-bit-identical :class:`RunResult`\\ s (the contract of
+In-flight flows live in :class:`_VectorFlows`, which stores all flow
+state in a persistent array-native
+:class:`~repro.simmpi.ledger.FlowLedger` — an append-only CSR path
+arena plus ``remaining``/``group``/``active`` planes and a per-link
+load plane — so every event is a handful of numpy reductions: the
+fairness solve starts its first round from the ledger's link counts
+and gathers the live :class:`~repro.netsim.batchroute.PathMatrix`
+view's entries only when a second round is needed, ``dt`` is
+``(remaining / rates).min()``, flow progress is
+``remaining[act] -= rates * dt``, and group completion is a
+``bincount``-style grouped reduction.  The original per-flow-object
+loops live on as the differential oracle in
+``tests/oracles/simmpi_flows.py``; both stores produce bit-identical
+:class:`RunResult`\\ s (the contract of
 ``tests/properties/test_property_simmpi.py``).
 
 Ready ranks are scheduled through an epoch-ordered heap that
@@ -91,7 +93,6 @@ from ..netsim.batchroute import (
     batch_fault_aware_routes,
     fault_capacity_plane,
     link_layout,
-    vector_enabled,
 )
 from ..netsim.fairness import max_min_fair_rates
 from ..netsim.network import LinkNetwork
@@ -112,18 +113,6 @@ __all__ = [
 Program = Callable[[int, int], Generator]
 
 _EPS = 1e-12
-
-
-def _path_severed(caps: np.ndarray, path: np.ndarray) -> bool:
-    """Whether any link of *path* has (effectively) zero capacity.
-
-    Fault injection zeroes failed links exactly, but the check is a
-    grouped ``_EPS`` comparison rather than a float ``==``: a capacity
-    that rounding has driven below ``_EPS`` carries no traffic either,
-    and the reroute must fire for it too (healthy links sit at O(1)
-    GB/s, twelve orders of magnitude above the threshold).
-    """
-    return bool((caps[path] <= _EPS).any())
 
 
 @memoized(maxsize=256, key=lambda torus: torus)
@@ -153,15 +142,6 @@ class EventBudgetError(RuntimeError):
 
 
 @dataclass
-class _Flow:
-    path: np.ndarray
-    remaining: float
-    group: "_Group"
-    src_node: int
-    dst_node: int
-
-
-@dataclass
 class _Group:
     """A completion group: ranks wake when all member flows finish.
 
@@ -169,109 +149,13 @@ class _Group:
     expression evaluates to on resume (receives get the sender's
     payload; sends resume with ``None``).  ``gid`` is the vector
     backend's dense registration id (-1 until a flow registers the
-    group; the oracle backend never assigns one).
+    group).
     """
 
     waiters: tuple[int, ...]
     outstanding: int
     deliveries: dict[int, object] = field(default_factory=dict)
     gid: int = -1
-
-
-class _OracleFlows:
-    """Per-``_Flow``-object store: the ``REPRO_VECTOR=0`` oracle.
-
-    These are the original engine's per-flow Python loops, kept
-    verbatim: the vectorized :class:`_VectorFlows` backend must
-    reproduce this backend's :class:`RunResult`\\ s bit for bit.
-    """
-
-    __slots__ = ("flows", "_rates")
-
-    def __init__(self, num_links: int):
-        self.flows: list[_Flow] = []
-        self._rates: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.flows)
-
-    def add(
-        self,
-        path: np.ndarray,
-        gb: float,
-        group: _Group,
-        src_node: int,
-        dst_node: int,
-    ) -> None:
-        self.flows.append(
-            _Flow(
-                path=path,
-                remaining=gb,
-                group=group,
-                src_node=src_node,
-                dst_node=dst_node,
-            )
-        )
-
-    def solve_dt(self, capacities: np.ndarray) -> float:
-        """Re-solve fair rates; return the time to the next completion."""
-        rates = max_min_fair_rates(
-            [f.path for f in self.flows], capacities
-        )
-        self._rates = rates
-        return min(f.remaining / r for f, r in zip(self.flows, rates))
-
-    def degraded_count(self, degr_mask: np.ndarray) -> int:
-        """How many in-flight flows cross a degraded link."""
-        return sum(
-            1 for f in self.flows if bool(degr_mask[f.path].any())
-        )
-
-    def progress(self, dt: float) -> list[_Group]:
-        """Advance every flow by ``rate * dt``; return completed groups."""
-        done_groups: list[_Group] = []
-        kept: list[_Flow] = []
-        for f, r in zip(self.flows, self._rates):
-            f.remaining -= r * dt
-            if f.remaining <= _EPS:
-                f.group.outstanding -= 1
-                if f.group.outstanding == 0:
-                    done_groups.append(f.group)
-            else:
-                kept.append(f)
-        self.flows = kept
-        return done_groups
-
-    def reroute_severed(
-        self, caps: np.ndarray, path_of
-    ) -> tuple[int, list[tuple[int, int, float]]]:
-        """Re-path flows crossing a failed link; collect unroutable ones."""
-        reroutes = 0
-        lost: list[tuple[int, int, float]] = []
-        for f in self.flows:
-            if not _path_severed(caps, f.path):
-                continue
-            try:
-                f.path = path_of(f.src_node, f.dst_node)
-            except PartitionDisconnectedError:
-                lost.append((f.src_node, f.dst_node, f.remaining))
-                continue
-            if len(f.path) == 0:  # pragma: no cover - defensive
-                raise AssertionError("reroute produced an empty path")
-            reroutes += 1
-        return reroutes, lost
-
-    def restore_routes(self, path_of) -> int:
-        """Switch flows back to their preferred route after a repair."""
-        restores = 0
-        for f in self.flows:
-            new_path = path_of(f.src_node, f.dst_node)
-            if len(new_path) != len(f.path) or not np.array_equal(
-                new_path, f.path
-            ):
-                f.path = new_path
-                restores += 1
-        return restores
 
 
 class _VectorFlows:
@@ -283,7 +167,7 @@ class _VectorFlows:
     have outstanding flows.  Flow-creation order survives reroutes via
     the ledger's ``order_key`` plane, which is what keeps
     order-sensitive artifacts (fault reports, restore scans, route
-    cache traffic) bit-identical with :class:`_OracleFlows`.
+    cache traffic) bit-identical with the per-flow-object oracle.
     """
 
     __slots__ = (
@@ -326,13 +210,15 @@ class _VectorFlows:
     def solve_dt(self, capacities: np.ndarray) -> float:
         """Re-solve fair rates over the live ledger view.
 
-        The active-subset gather inside
-        :func:`~repro.netsim.fairness.max_min_fair_rates` sees exactly
-        the entries the oracle's rebuilt path list would contain (up to
-        flow permutation, under which the water-fill is equivariant),
-        so rates — and the exact ``min`` below — are bit-identical.
-        ``validate=False`` skips the solver's failed-link scan: the
-        engine reroutes flows off dead links before ever re-solving.
+        The ledger's load plane is exactly the per-link count of the
+        active entries, so :func:`~repro.netsim.fairness.max_min_fair_rates`
+        runs its first round from it, and its lazy active-subset gather
+        sees the entries the oracle's rebuilt path list would contain
+        (up to flow permutation, under which the water-fill is
+        equivariant): rates — and the exact ``min`` below — are
+        bit-identical.  ``validate=False`` skips the solver's
+        failed-link scan: the engine reroutes flows off dead links
+        before ever re-solving.
         """
         act = self._act
         if act is None:
@@ -344,7 +230,8 @@ class _VectorFlows:
         self._pending.clear()
         self._act = act
         rates = max_min_fair_rates(
-            self.ledger.view(), capacities, active=act, validate=False
+            self.ledger.view(), capacities, active=act,
+            link_counts=self.ledger.link_load, validate=False,
         )
         self._rates = rates
         rem = self.ledger.remaining[act]
@@ -396,7 +283,9 @@ class _VectorFlows:
 
         Severed flows are found with one masked gather and visited in
         flow-creation order (the oracle's list order), so a
-        disconnection aborts with the same witness flow.
+        disconnection aborts with the same witness flow.  The mask is
+        ``caps <= _EPS`` rather than ``== 0``: a capacity rounding has
+        driven below ``_EPS`` carries no traffic either.
         """
         led = self.ledger
         self._act = None  # repaths retire slots out of creation order
@@ -730,11 +619,7 @@ class VirtualMpi:
             return path
 
         computing: dict[int, float] = {}          # rank -> finish time
-        backend = (
-            _VectorFlows(len(caps))
-            if vector_enabled()
-            else _OracleFlows(len(caps))
-        )
+        backend = _VectorFlows(len(caps))
         barrier_waiters: list[int] = []
 
         # Ready-rank scheduling: an epoch-ordered heap replacing the

@@ -1,10 +1,11 @@
 """Persistent array-native flow ledger for the simmpi engine.
 
 :class:`FlowLedger` is the storage backend behind the vectorized
-:class:`~repro.simmpi.engine.VirtualMpi` event loop.  The oracle engine
-(``REPRO_VECTOR=0``) keeps one Python ``_Flow`` object per in-flight
-message and rebuilds a list of path arrays for every fairness solve;
-the ledger instead keeps all flow state in preallocated numpy planes:
+:class:`~repro.simmpi.engine.VirtualMpi` event loop.  The differential
+oracle (``tests/oracles/simmpi_flows.py``) keeps one Python ``_Flow``
+object per in-flight message and rebuilds a list of path arrays for
+every fairness solve; the ledger instead keeps all flow state in
+preallocated numpy planes:
 
 * an **append-only CSR path arena** (``links``/``offsets``) — paths
   already arrive as int64 arrays from :mod:`repro.netsim.batchroute`
@@ -13,7 +14,12 @@ the ledger instead keeps all flow state in preallocated numpy planes:
   ``order_key`` / ``active`` planes, so per-event progress is
   ``remaining[act] -= rates * dt`` instead of a Python loop;
 * an incrementally maintained per-link **load plane** (flows currently
-  crossing each link), updated on add/retire rather than recounted;
+  crossing each link), updated on add/retire rather than recounted; it
+  seeds the first water-fill round of every per-event solve (the
+  ``link_counts`` argument of
+  :func:`~repro.netsim.fairness.max_min_fair_rates`), so its invariant —
+  it equals ``np.bincount`` over the active slots' entries — is what
+  keeps the rates exact;
 * a cached read-only :class:`~repro.netsim.batchroute.PathMatrix`
   *view* of the live arena (invalidated by appends, never copied), so
   the fairness solver's active-subset indexing consumes ledger state

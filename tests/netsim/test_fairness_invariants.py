@@ -110,3 +110,30 @@ def test_single_bottleneck_shared_equally():
     paths = [np.asarray([0]), np.asarray([0]), np.asarray([0, 1])]
     rates = max_min_fair_rates(paths, np.asarray([3.0, 10.0]))
     assert np.allclose(rates, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("with_demands", [False, True])
+def test_seeded_link_counts_bit_identical(seed, with_demands):
+    """Given the active flows' per-link counts, the solver skips the
+    first round's gather; rates and bottlenecks stay bit-identical."""
+    paths, capacities, demands = random_instance(seed, with_demands)
+    rng = np.random.default_rng(1000 + seed)
+    paths.append(np.asarray([], dtype=np.int64))  # an unconstrained flow
+    if demands is not None:
+        demands.append(1.0)
+    active = np.flatnonzero(rng.random(len(paths)) < 0.7)
+    counts = np.bincount(
+        np.concatenate([np.empty(0, dtype=np.int64)]
+                       + [paths[i] for i in active]),
+        minlength=len(capacities),
+    )
+    full, full_bottle = max_min_fair_rates(
+        paths, capacities, demands, active=active, return_bottlenecks=True
+    )
+    seeded, seeded_bottle = max_min_fair_rates(
+        paths, capacities, demands, active=active, link_counts=counts,
+        return_bottlenecks=True,
+    )
+    assert seeded.tobytes() == full.tobytes()
+    assert seeded_bottle.tolist() == full_bottle.tolist()

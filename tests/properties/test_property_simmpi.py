@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +23,7 @@ from repro.simmpi import (
     allgather_ring,
 )
 from repro.topology import Torus
+from tests.oracles.simmpi_flows import oracle_engine
 
 
 def _world(n_ranks: int) -> VirtualMpi:
@@ -142,33 +140,17 @@ class TestTimeProperties:
 # Vector engine ≡ oracle differential suite                              #
 # --------------------------------------------------------------------- #
 #
-# The vectorized FlowLedger backend must reproduce the REPRO_VECTOR=0
-# per-object oracle *bit for bit*: RunResult dataclass equality compares
-# every float exactly (time, per-rank stats, reroutes, restores,
-# degraded_flow_seconds), with no tolerance.
-
-
-@contextmanager
-def _vector_mode(value: str):
-    """Pin REPRO_VECTOR for one run (hypothesis-safe, unlike the
-    function-scoped monkeypatch fixture under @given)."""
-    old = os.environ.get("REPRO_VECTOR")
-    os.environ["REPRO_VECTOR"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_VECTOR"]
-        else:
-            os.environ["REPRO_VECTOR"] = old
+# The FlowLedger engine must reproduce the per-object oracle
+# (tests/oracles/simmpi_flows.py) *bit for bit*: RunResult dataclass
+# equality compares every float exactly (time, per-rank stats, reroutes,
+# restores, degraded_flow_seconds), with no tolerance.
 
 
 def _run_both(make_world, prog):
     """Run *prog* on fresh worlds under the oracle and vector engines."""
-    with _vector_mode("0"):
+    with oracle_engine():
         oracle = make_world().run(prog)
-    with _vector_mode("1"):
-        vector = make_world().run(prog)
+    vector = make_world().run(prog)
     return oracle, vector
 
 
@@ -338,14 +320,14 @@ class TestVectorEngineMatchesOracle:
         def prog(rank, size):
             yield SendRecv(peer=(rank + size // 2) % size, gb=4.0)
 
-        reports = []
-        for mode in ("0", "1"):
-            with _vector_mode(mode):
-                world = VirtualMpi(
-                    ring, link_bandwidth=2.0, fault_events=events
-                )
-                with pytest.raises(PartitionDisconnectedError) as ei:
-                    world.run(prog)
-                reports.append(ei.value.report)
+        def report():
+            world = VirtualMpi(ring, link_bandwidth=2.0, fault_events=events)
+            with pytest.raises(PartitionDisconnectedError) as ei:
+                world.run(prog)
+            return ei.value.report
+
+        with oracle_engine():
+            reports = [report()]
+        reports.append(report())
         assert reports[0] == reports[1]
         assert reports[0].aborted_flows == reports[1].aborted_flows

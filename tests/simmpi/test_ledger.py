@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.batchroute import PathMatrix
 from repro.simmpi.ledger import FlowLedger
@@ -213,3 +215,42 @@ class TestValidation:
             FlowLedger(4, slot_capacity=0)
         with pytest.raises(ValueError):
             FlowLedger(4, entry_capacity=0)
+
+
+class TestLoadPlaneInvariant:
+    """The load plane seeds the solver's first water-fill round, so it
+    must equal a fresh bincount over the active slots' arena entries
+    after every mutation."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_link_load_equals_bincount_of_active_entries(self, data):
+        led = _ledger(compact_min=1)
+        paths = st.lists(st.integers(0, 15), min_size=0, max_size=5)
+        ops = st.sampled_from(
+            ("add", "deactivate", "retire_all", "repath", "compact")
+        )
+        for _ in range(data.draw(st.integers(1, 30))):
+            act = led.active_slots().tolist()
+            op = data.draw(ops) if act else "add"
+            if op == "add":
+                for path in data.draw(st.lists(paths, min_size=1, max_size=12)):
+                    led.add(path, 1.0, 0, 0, 1)
+            elif op == "deactivate":
+                picked = data.draw(
+                    st.lists(st.sampled_from(act), min_size=1, unique=True)
+                )
+                led.deactivate(np.asarray(picked, dtype=np.int64))
+            elif op == "retire_all":
+                # More than 8 slots at once takes the bulk-gather branch.
+                led.deactivate(np.asarray(act, dtype=np.int64))
+            elif op == "repath":
+                led.repath(data.draw(st.sampled_from(act)), data.draw(paths))
+            else:
+                led.maybe_compact()
+            entries = [led.path(s) for s in led.active_slots()]
+            expected = np.bincount(
+                np.concatenate([np.empty(0, dtype=np.int64), *entries]),
+                minlength=16,
+            )
+            assert led.link_load.tolist() == expected.tolist()

@@ -17,11 +17,16 @@ from repro.experiments.machinedesign import (
     peak_speedup_over_baseline,
 )
 from repro.machines.bgq import BlueGeneQMachine
-from repro.simmpi.engine import _path_severed
+from repro.simmpi.engine import _Group, _VectorFlows
+from tests.oracles.simmpi_flows import _path_severed
 
 
 class TestPathSevered:
-    """simmpi.engine: `caps[path].min() == 0.0` became an _EPS guard."""
+    """simmpi.engine: `caps[path].min() == 0.0` became an _EPS guard.
+
+    The per-flow check lives on in the differential oracle; the engine's
+    ledger store applies the same ``<= _EPS`` mask in one gather.
+    """
 
     def test_exact_zero_is_severed(self):
         caps = np.array([1.0, 0.0, 1.0])
@@ -41,6 +46,17 @@ class TestPathSevered:
     def test_only_links_on_the_path_matter(self):
         caps = np.array([0.0, 1.0, 1.0])
         assert _path_severed(caps, np.array([1, 2])) is False
+
+    def test_engine_reroutes_epsilon_dust(self):
+        flows = _VectorFlows(4)
+        group = _Group(waiters=(0,), outstanding=2)
+        flows.add(np.array([0, 1]), 1.0, group, 0, 1)
+        flows.add(np.array([2]), 1.0, group, 0, 2)
+        caps = np.array([1.0, 1e-15, 1.0, 1.0])
+        reroutes, lost = flows.reroute_severed(
+            caps, lambda src, dst: np.array([3])
+        )
+        assert (reroutes, lost) == (1, [])
 
 
 class TestPeakSpeedupSentinel:
