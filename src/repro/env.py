@@ -209,8 +209,8 @@ register(
 )
 register(
     "REPRO_RESILIENCE_TEST_KILL", "str", "",
-    "Chaos-test hook: task index at which the resilient sweep "
-    "executor calls os._exit(43), simulating a worker SIGKILL "
+    "Chaos-test hook: task index at which the sweep executor "
+    "(repro.parallel) calls os._exit(43), simulating a worker SIGKILL "
     "(repro.resilience).",
 )
 register(

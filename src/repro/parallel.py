@@ -1,21 +1,28 @@
-"""Deterministic process-pool sweep executor.
+"""The deterministic sweep executor.
 
 Every sweep-shaped experiment in this repository — pairing curves,
 fault-study grids, design searches, variability streams — evaluates a
-pure task function over a fixed grid of (geometry, seed) points.  This
-module runs such grids across worker processes while keeping the
-results **bit-identical** to the serial path:
+pure task function over a fixed grid of (geometry, seed) points.
+:func:`sweep_map` runs all of them, serially or across worker
+processes, while keeping the results **bit-identical** to
+``[fn(t) for t in tasks]``:
 
 * tasks are enumerated once, up front, in a deterministic order;
 * randomness is injected only through explicit per-task seeds (see
   :func:`split_seeds`) derived from the caller's base seed, never from
   worker identity, scheduling order, or wall-clock;
 * results are collected **in task order** regardless of completion
-  order (``ProcessPoolExecutor.map`` semantics);
+  order;
 * ``jobs=1`` — and any environment where a process pool cannot be
   created (restricted sandboxes, missing ``/dev/shm``, recursive
-  pools) — falls back to a plain in-process loop over the same
-  function, so parallelism is an optimization, never a semantic.
+  pools) — runs the same chunks in-process, so parallelism is an
+  optimization, never a semantic.
+
+One planner cuts the pending tasks into chunks: blocks through a
+registered block form (:func:`register_block_runner`), else plain
+``[fn(t) for t in chunk]`` lists.  One in-process loop and one pool
+loop run the chunks.  The optional policy and checkpoint journal of
+:mod:`repro.resilience` plug into both loops.
 
 Task functions must be module-level callables and their arguments and
 results picklable; the experiment drivers keep their workers at module
@@ -27,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any, TypeVar
@@ -35,6 +43,12 @@ import numpy as np
 
 from . import env, observability, sharedmem
 from ._validation import check_nonnegative_int, check_positive_int
+from .resilience import (
+    ResiliencePolicy,
+    SweepCheckpoint,
+    TaskFailure,
+    _maybe_test_kill,
+)
 
 __all__ = [
     "sweep_map",
@@ -53,12 +67,25 @@ _R = TypeVar("_R")
 _JOBS_ENV = "REPRO_JOBS"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity set where the platform has one (a ``taskset`` or
+    cpuset limit), else the host's CPU count.
+    """
+    count = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        count = min(count, len(os.sched_getaffinity(0)))
+    return count
+
+
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a ``--jobs`` value to a concrete worker count.
 
     ``None`` or ``0`` means "auto": the ``REPRO_JOBS`` environment
-    variable if set and valid, else the machine's CPU count.  Anything
-    else must be a positive integer and is returned unchanged.
+    variable if set and valid, else the number of CPUs this process may
+    run on.  Anything else must be a positive integer and is returned
+    unchanged.
 
     An invalid ``REPRO_JOBS`` (negative, zero, empty, or non-numeric)
     is not silently swallowed: a :class:`RuntimeWarning` names the bad
@@ -73,7 +100,7 @@ def resolve_jobs(jobs: int | None) -> int:
                 val = None
             if val is not None and val >= 1:
                 return val
-            fallback = os.cpu_count() or 1
+            fallback = _usable_cpus()
             warnings.warn(
                 f"ignoring invalid {_JOBS_ENV}={raw!r} (expected a "
                 f"positive integer); falling back to the CPU count "
@@ -82,7 +109,7 @@ def resolve_jobs(jobs: int | None) -> int:
                 stacklevel=2,
             )
             return fallback
-        return os.cpu_count() or 1
+        return _usable_cpus()
     return check_positive_int(jobs, "jobs")
 
 
@@ -107,67 +134,6 @@ def split_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(child.generate_state(1)[0]) for child in ss.spawn(n))
 
 
-def _serial_map(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:
-    return [fn(t) for t in tasks]
-
-
-def _serial_fallback(
-    fn: Callable[[_T], _R], tasks: Sequence[_T]
-) -> list[_R]:
-    """Serial execution of a sweep that *requested* parallelism.
-
-    Used when the effective worker count resolves to one (single-CPU
-    host) or no process pool can be created.  Keeps the observability
-    contract of the pool path — the ``parallel.sweep`` span and task
-    counters still appear, with ``workers=1`` — so traces show the
-    sweep regardless of where it ran.
-    """
-    with observability.span(
-        "parallel.sweep", tasks=len(tasks), workers=1
-    ):
-        results = _serial_map(fn, tasks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", len(tasks))
-        observability.gauge_set("parallel.workers", 1)
-    return results
-
-
-class _SnapshottingTask:
-    """Task wrapper: every result carries the worker's metric snapshot.
-
-    Snapshots are cumulative per worker process (counters, span totals,
-    memo hit/miss counts); the parent keeps only the final snapshot of
-    each worker pid and merges it once, so per-task payloads stay tiny
-    and nothing is double-counted.  Picklable as long as the wrapped
-    function is a module-level callable — the same constraint
-    :func:`sweep_map` already imposes.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[_T], _R]):
-        self._fn = fn
-
-    def __call__(
-        self, task: _T
-    ) -> tuple[_R, observability.TraceSnapshot]:
-        return self._fn(task), observability.worker_snapshot()
-
-
-def _merge_worker_snapshots(
-    snapshots: Iterable[observability.TraceSnapshot],
-) -> None:
-    """Merge the final (highest-seq) snapshot of every worker pid."""
-    final: dict[int, observability.TraceSnapshot] = {}
-    for snap in snapshots:
-        cur = final.get(snap.pid)
-        if cur is None or snap.seq > cur.seq:
-            final[snap.pid] = snap
-    for snap in final.values():
-        observability.merge_snapshot(snap)
-
-
 # ----------------------------------------------------------------------
 # Block dispatch: batchable task families
 #
@@ -185,8 +151,9 @@ def _merge_worker_snapshots(
 #: Sweeps at or below this many tasks run serially in-process — pool
 #: startup + pickling costs more than it saves at this size (the
 #: designsearch crossover seam in BENCH_perf.json, where the parallel
-#: sweep ran ~1.7x *slower* than serial).  Applies to block-dispatched
-#: families and plain per-task sweeps alike.
+#: sweep ran ~1.7x *slower* than serial).  Applies to every sweep,
+#: checkpointed or not, except one with a task timeout: only a pool
+#: worker can be timed out.
 _SMALL_SWEEP_TASKS = 32
 
 #: Scheduler cost model, calibrated coarse on purpose: these only have
@@ -277,128 +244,39 @@ def block_runner_for(
     return reg if vector_enabled() else None
 
 
-def _block_size(n: int, workers: int, runner: BlockRunner) -> int:
-    """Chunk-adaptive block size for *n* tasks on *workers* workers.
+def _block_size(n: int, workers: int, runner: BlockRunner | None) -> int:
+    """Tasks per chunk for *n* tasks on *workers* workers.
 
-    Serial dispatch wants one maximal block (the stacked solve's
-    amortization is the whole point); pool dispatch aims for roughly
-    four blocks per worker so stragglers load-balance.  Both are capped
-    by the runner's ``max_block_tasks``.
+    The pool aims for roughly four chunks per worker so stragglers
+    load-balance.  In-process, a block form gets one maximal block (the
+    stacked solve's amortization is the whole point) and a plain task
+    function one task per chunk, so each execution is one attempt and
+    is journaled before the next starts.  The runner's
+    ``max_block_tasks`` caps either.
     """
-    size = max(1, -(-n // (workers * 4))) if workers > 1 else n
-    return max(1, min(size, runner.max_block_tasks))
-
-
-def _check_block_results(
-    values: Sequence[Any], chunk: Sequence[Any], runner: BlockRunner
-) -> None:
-    if len(values) != len(chunk):
-        raise RuntimeError(
-            f"block runner "
-            f"{getattr(runner.block_fn, '__qualname__', runner.block_fn)!r}"
-            f" returned {len(values)} results for a block of "
-            f"{len(chunk)} tasks"
-        )
-
-
-class _SnapshottingBlock:
-    """Block wrapper: runs a whole chunk, returns values + snapshot."""
-
-    __slots__ = ("_block_fn",)
-
-    def __init__(self, block_fn: Callable[[Sequence[_T]], Sequence[_R]]):
-        self._block_fn = block_fn
-
-    def __call__(
-        self, chunk: Sequence[_T]
-    ) -> tuple[list[_R], observability.TraceSnapshot]:
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(self._block_fn(chunk))
-        return values, observability.worker_snapshot()
-
-
-class _ShmBlock:
-    """Block wrapper over the shared-memory transport.
-
-    Receives a :class:`repro.sharedmem.ShmPayload` instead of a pickled
-    chunk, reconstructs the tasks as read-only zero-copy views over the
-    parent's shared segments, runs the block, and offloads any large
-    result buffers back through worker-owned segments (small results —
-    the common case — return in-band; the parent materializes and
-    releases either way via ``decode_result``).
-    """
-
-    __slots__ = ("_block_fn",)
-
-    def __init__(self, block_fn: Callable[[Sequence[_T]], Sequence[_R]]):
-        self._block_fn = block_fn
-
-    def __call__(
-        self, payload: Any
-    ) -> tuple[Any, observability.TraceSnapshot]:
-        chunk = sharedmem.shm_loads(payload)
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(self._block_fn(chunk))
-        return (
-            sharedmem.maybe_shm_dumps(values),
-            observability.worker_snapshot(),
-        )
-
-
-def _pool_worker_init() -> None:
-    """Pool initializer: zero fork-inherited observability counters and
-    drop fork-inherited shared-segment mappings (workers re-attach on
-    demand against their own cache)."""
-    observability.reset_worker()
-    sharedmem.detach_segments()
-
-
-def _run_block_chunks(
-    runner: BlockRunner, chunks: Sequence[Sequence[_T]]
-) -> list[Any]:
-    """Run block chunks serially in-process, validating each."""
-    results: list[Any] = []
-    for chunk in chunks:
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(runner.block_fn(chunk))
-        _check_block_results(values, chunk, runner)
-        results.extend(values)
-    return results
-
-
-def _block_serial(
-    runner: BlockRunner, task_list: Sequence[_T]
-) -> list[Any]:
-    """Serial block execution (jobs==1, 1-CPU host, crossover guard)."""
-    n = len(task_list)
-    size = _block_size(n, 1, runner)
-    chunks = [task_list[s : s + size] for s in range(0, n, size)]
-    with observability.span(
-        "parallel.sweep", tasks=n, workers=1, blocks=len(chunks)
-    ):
-        results = _run_block_chunks(runner, chunks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", n)
-        observability.counter_add("parallel.blocks", len(chunks))
-        observability.gauge_set("parallel.workers", 1)
-    return results
+    if workers > 1:
+        size = -(-n // (workers * 4))
+    else:
+        size = n if runner is not None else 1
+    if runner is not None:
+        size = min(size, runner.max_block_tasks)
+    return max(1, size)
 
 
 def _plan_adaptive(
-    n: int, workers: int, runner: BlockRunner, per_task_s: float
+    n: int, workers: int, runner: BlockRunner | None, per_task_s: float
 ) -> tuple[int, int] | None:
-    """Chunk plan ``(block_size, workers)`` for the post-probe rest.
+    """Chunk plan ``(chunk_size, workers)`` for the post-probe rest.
 
-    Sizes blocks from the *measured* per-task cost — small enough to
-    load-balance (≈4 blocks per worker), but no finer than blocks of
+    Sizes chunks from the *measured* per-task cost — small enough to
+    load-balance (≈4 chunks per worker), but no finer than chunks of
     ``_TARGET_BLOCK_S`` wall-clock need — then projects pool cost
-    (worker spawn + per-block dispatch + compute split across workers)
+    (worker spawn + per-chunk dispatch + compute split across workers)
     against just finishing serially.  Returns ``None`` when the pool
     would not pay for itself: the crossover that made
     ``designsearch_parallel_s`` worse than serial is decided by
     arithmetic here, not hoped away.  Workers are capped at the planned
-    block count — a pool process with no block to run is pure spawn
+    chunk count — a pool process with no chunk to run is pure spawn
     cost.
     """
     workers = min(workers, n)
@@ -408,7 +286,8 @@ def _plan_adaptive(
         if per_task_s > 0
         else by_balance
     )
-    size = max(1, min(by_balance, by_time, runner.max_block_tasks))
+    cap = runner.max_block_tasks if runner is not None else n
+    size = max(1, min(by_balance, by_time, cap))
     num_blocks = -(-n // size)
     workers = min(workers, num_blocks)
     if workers <= 1:
@@ -424,158 +303,356 @@ def _plan_adaptive(
     return size, workers
 
 
-def _dispatch_block_pool(
-    runner: BlockRunner,
-    chunks: Sequence[Sequence[_T]],
-    workers: int,
-    transport: str | None,
-) -> list[Any] | None:
-    """Run block chunks through a process pool; ``None`` if no pool.
+def _run_chunk(
+    fn: Callable[[Any], Any],
+    block_fn: Callable[[Sequence[Any]], Sequence[Any]] | None,
+    indices: Sequence[int],
+    chunk: Sequence[Any],
+) -> list[Any]:
+    """Evaluate one chunk, in a worker or in-process.
 
-    With the shared-memory transport each chunk crosses the pipe as a
-    small descriptor payload while its arrays live in pool-owned
-    segments, unlinked when the dispatch completes (or fails — the
-    ``finally`` guarantees no ``/dev/shm`` leak on any exit path).
+    The test kill hook fires for every index first, so a chaos test
+    targeting task ``i`` dies however the sweep was chunked.
+    """
+    for i in indices:
+        _maybe_test_kill(i)
+    if block_fn is None:
+        return [fn(t) for t in chunk]
+    with observability.span("parallel.block", tasks=len(chunk)):
+        return list(block_fn(chunk))
+
+
+@dataclass(frozen=True)
+class _PoolChunk:
+    """Picklable pool entry point: a chunk's results plus the worker's
+    cumulative metric snapshot.
+
+    The chunk may arrive as a :class:`repro.sharedmem.ShmPayload`
+    (zero-copy views over the parent's segments); with ``shm`` large
+    result buffers travel back through worker-owned segments, which
+    the parent materializes and unlinks.
+    """
+
+    fn: Callable[[Any], Any]
+    block_fn: Callable[[Sequence[Any]], Sequence[Any]] | None
+    shm: bool
+
+    def __call__(
+        self, indices: Sequence[int], payload: Any
+    ) -> tuple[Any, observability.TraceSnapshot]:
+        chunk = sharedmem.shm_loads(payload)
+        values: Any = _run_chunk(self.fn, self.block_fn, indices, chunk)
+        if self.shm:
+            values = sharedmem.maybe_shm_dumps(values)
+        return values, observability.worker_snapshot()
+
+
+def _pool_worker_init() -> None:
+    """Pool initializer: zero fork-inherited observability counters and
+    drop fork-inherited shared-segment mappings (workers re-attach on
+    demand against their own cache)."""
+    observability.reset_worker()
+    sharedmem.detach_segments()
+
+
+_PENDING = object()
+
+#: A planned chunk: task indices, and the block form that runs them
+#: (``None``: the task function, task by task).
+_Chunk = tuple[list[int], Any]
+
+
+class _PoolRestart(Exception):
+    """Unwind the pool loop to rebuild the pool."""
+
+
+class _Sweep:
+    """One sweep's result slots, attempt counts and journal.
+
+    Both loops report to it: :meth:`complete` fills (and journals) a
+    chunk's slots, and :meth:`failed` turns a chunk that raised into
+    the chunks to run next.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: list[Any],
+        policy: ResiliencePolicy | None,
+        journal: SweepCheckpoint | None,
+    ):
+        self.fn = fn
+        self.tasks = tasks
+        self.policy = policy
+        self.journal = journal
+        self.runner: BlockRunner | None = None
+        self.results: list[Any] = [_PENDING] * len(tasks)
+        self.attempts: dict[int, int] = {}
+        self.keys: list[str] = []
+        self.chunks_done = 0
+        if journal is not None:
+            self.keys, done = journal.resume(fn, tasks)
+            for i, value in done.items():
+                self.results[i] = value
+            if done:
+                observability.counter_add(
+                    "resilience.resumed_tasks", len(done)
+                )
+
+    def pending(self) -> list[int]:
+        return [i for i, r in enumerate(self.results) if r is _PENDING]
+
+    def plan(self, indices: list[int], size: int) -> list[_Chunk]:
+        block_fn = self.runner.block_fn if self.runner else None
+        return [
+            (indices[s : s + size], block_fn)
+            for s in range(0, len(indices), size)
+        ]
+
+    @staticmethod
+    def check(values: Sequence[Any], chunk: _Chunk) -> None:
+        indices, block_fn = chunk
+        if len(values) != len(indices):
+            raise RuntimeError(
+                f"block runner "
+                f"{getattr(block_fn, '__qualname__', block_fn)!r} "
+                f"returned {len(values)} results for a block of "
+                f"{len(indices)} tasks"
+            )
+
+    def complete(self, chunk: _Chunk, values: Sequence[Any]) -> None:
+        for i, value in zip(chunk[0], values):
+            self.results[i] = value
+            if self.journal is not None:
+                self.journal.record(self.keys[i], i, value)
+        self.chunks_done += 1
+
+    def failed(self, chunk: _Chunk, exc: Exception) -> list[_Chunk]:
+        """The chunks to run after *chunk* raised *exc*.
+
+        Without a policy the exception propagates.  With one, a block
+        (or a multi-task chunk) falls back to one plain chunk per task,
+        and a single task retries, is quarantined, or re-raises.
+        """
+        if self.policy is None:
+            raise exc
+        indices, block_fn = chunk
+        if block_fn is not None or len(indices) > 1:
+            observability.counter_add("resilience.block_fallbacks")
+            return [([i], None) for i in indices]
+        if self.retry(indices[0]):
+            return [chunk]
+        self.fail(indices[0], exc)
+        return []
+
+    def retry(self, index: int) -> bool:
+        """Count a failed attempt; whether the task may run again."""
+        assert self.policy is not None
+        attempt = self.attempts[index] = self.attempts.get(index, 0) + 1
+        if attempt > self.policy.max_retries:
+            return False
+        observability.counter_add("resilience.retries")
+        time.sleep(self.policy.backoff(attempt))  # repro: allow-wallclock retry backoff; delays rerun, never changes results
+        return True
+
+    def fail(self, index: int, exc: Exception) -> None:
+        """A task exhausted its retries: quarantine it or raise."""
+        assert self.policy is not None
+        if not self.policy.quarantine:
+            raise exc
+        observability.counter_add("resilience.quarantined")
+        text = repr(self.tasks[index])
+        self.results[index] = TaskFailure(
+            index=index,
+            task=text if len(text) <= 120 else text[:117] + "...",
+            error_type=type(exc).__name__,
+            error=str(exc),
+            attempts=self.attempts.get(index, 0),
+        )
+
+
+def _run_serial(sweep: _Sweep, pending: list[int]) -> None:
+    """Run *pending* in-process: maximal blocks, or one task per chunk."""
+    size = _block_size(len(pending), 1, sweep.runner)
+    queue = deque(sweep.plan(pending, size))
+    while queue:
+        chunk = queue.popleft()
+        indices, block_fn = chunk
+        try:
+            values = _run_chunk(
+                sweep.fn, block_fn, indices,
+                [sweep.tasks[i] for i in indices],
+            )
+            sweep.check(values, chunk)
+        except Exception as exc:
+            queue.extendleft(reversed(sweep.failed(chunk, exc)))
+            continue
+        sweep.complete(chunk, values)
+
+
+def _probe(
+    sweep: _Sweep, pending: list[int], workers: int
+) -> tuple[int, int]:
+    """Run the first pool-sized chunk in-process, timed; plan the rest.
+
+    Returns ``(chunk_size, workers)`` for the pool, with ``workers`` 1
+    when the measured cost says the pool would not pay for itself (see
+    :func:`_plan_adaptive`).
+    """
+    probe = pending[: _block_size(len(pending), workers, sweep.runner)]
+    start = time.perf_counter()  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
+    _run_serial(sweep, probe)
+    probe_s = time.perf_counter() - start  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
+    rest = len(pending) - len(probe)
+    if not rest:
+        return 1, 1
+    per_task = max(probe_s / len(probe), 1e-9)
+    plan = _plan_adaptive(rest, workers, sweep.runner, per_task)
+    if plan is None:
+        observability.counter_add("parallel.adaptive_serial")
+        return 1, 1
+    return plan
+
+
+def _pool_generation(
+    sweep: _Sweep,
+    executor: Any,
+    chunks: list[_Chunk],
+    shm: bool,
+    snapshots: dict[int, observability.TraceSnapshot],
+) -> None:
+    """Run *chunks* on one pool until every one is done or dropped.
+
+    A chunk that raised is resubmitted as :meth:`_Sweep.failed` plans.
+    Raises :class:`_PoolRestart` when a worker died or a task timed
+    out: the pool must go.  The executor is shut down on every exit.
+    With the shared-memory transport the generation's chunks live in
+    one parent-owned segment pool, unlinked when the generation
+    completes **or** dies.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    timeout = sweep.policy.task_timeout if sweep.policy else None
+    tx = sharedmem.SharedArrayPool() if shm else None
+
+    def submit(chunk: _Chunk) -> tuple[_Chunk, Any]:
+        indices, block_fn = chunk
+        payload: Any = [sweep.tasks[i] for i in indices]
+        if tx is not None:
+            payload = tx.dumps(payload)
+        task = _PoolChunk(sweep.fn, block_fn, shm)
+        return chunk, executor.submit(task, indices, payload)
+
+    queue: deque[tuple[_Chunk, Any]] = deque()
+    done = False
+    try:
+        queue.extend(map(submit, chunks))
+        while queue:
+            chunk, fut = queue.popleft()
+            try:
+                values, snap = fut.result(timeout=timeout)
+                values = sharedmem.decode_result(values)
+                sweep.check(values, chunk)
+            except BrokenProcessPool:
+                raise
+            except Exception as exc:
+                if not fut.done():
+                    # Timed out: the worker is stuck on the task.
+                    observability.counter_add("resilience.timeouts")
+                    index = chunk[0][0]
+                    if not sweep.retry(index):
+                        sweep.fail(index, TimeoutError(
+                            f"task exceeded {timeout}s wall-clock budget"
+                        ))
+                    raise _PoolRestart(f"task {index} timed out") from None
+                retry = sweep.failed(chunk, exc)
+                queue.extendleft(reversed(list(map(submit, retry))))
+                continue
+            last = snapshots.get(snap.pid)
+            if last is None or snap.seq > last.seq:
+                snapshots[snap.pid] = snap
+            sweep.complete(chunk, values)
+        done = True
+    except BrokenProcessPool:
+        # From a result wait, or from submit() when the pool died
+        # between waits.
+        raise _PoolRestart("worker process died") from None
+    finally:
+        executor.shutdown(wait=done, cancel_futures=True)
+        # Results nobody consumed may hold worker-owned segments.
+        for _chunk, fut in queue:
+            if fut.done() and not fut.cancelled() and (
+                fut.exception() is None
+            ):
+                sharedmem.release_payload(fut.result()[0])
+        if tx is not None:
+            observability.counter_add("parallel.shm_bytes", tx.bytes_used)
+            tx.unlink()
+
+
+def _run_pool(
+    sweep: _Sweep, size: int, workers: int, transport: str | None
+) -> str | None:
+    """Run the pending tasks in a process pool, in chunks of *size*.
+
+    The one place a pool is built: after a worker death or a timeout
+    it is rebuilt, up to the policy's ``max_pool_rebuilds``, and chunks
+    are re-planned over the tasks still pending (completed tasks were
+    journaled one by one).  Each worker's final metric snapshot is
+    merged once.  Returns ``None`` once no task is pending, else why
+    the rest must run in-process.
     """
     from concurrent.futures import ProcessPoolExecutor
 
+    shm = sharedmem.resolve_transport(transport) == "shm"
+    max_rebuilds = (sweep.policy or ResiliencePolicy()).max_pool_rebuilds
+    snapshots: dict[int, observability.TraceSnapshot] = {}
+    rebuilds = 0
     try:
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init
-        )
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        warnings.warn(
-            f"cannot create a process pool "
-            f"({type(exc).__name__}: {exc}); running the blocked sweep "
-            f"serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        observability.counter_add("parallel.fallback_serial")
-        return None
-
-    mode = sharedmem.resolve_transport(transport)
-    tx: sharedmem.SharedArrayPool | None = None
-    pairs: list[tuple[Any, observability.TraceSnapshot]] = []
-    try:
-        payloads: Sequence[Any] = chunks
-        wrapper: Callable[[Any], Any] = _SnapshottingBlock(runner.block_fn)
-        if mode == "shm":
-            tx = sharedmem.SharedArrayPool()
-            payloads = [tx.dumps(chunk) for chunk in chunks]
-            wrapper = _ShmBlock(runner.block_fn)
-            if observability.OBS.enabled:
-                observability.counter_add(
-                    "parallel.shm_bytes", tx.bytes_used
+        while pending := sweep.pending():
+            try:
+                executor = ProcessPoolExecutor(
+                    max_workers=workers, initializer=_pool_worker_init
                 )
-        try:
-            pairs = list(
-                executor.map(wrapper, payloads, chunksize=1)
-            )
-        finally:
-            executor.shutdown()
-    finally:
-        if tx is not None:
-            tx.unlink()
-    _merge_worker_snapshots(snap for _, snap in pairs)
-    results: list[Any] = []
-    try:
-        for (values, _snap), chunk in zip(pairs, chunks):
-            plain = sharedmem.decode_result(values)
-            _check_block_results(plain, chunk, runner)
-            results.extend(plain)
-    finally:
-        for values, _snap in pairs:
-            sharedmem.release_payload(values)
-    return results
-
-
-def _block_sweep(
-    runner: BlockRunner,
-    task_list: Sequence[_T],
-    jobs: int,
-    transport: str | None = None,
-) -> list[Any]:
-    """Execute a sweep through its registered block runner.
-
-    Chunk-adaptive scheduling: the first block runs in-process and is
-    timed; the measured per-task cost sizes the remaining chunks and
-    decides — by projected cost, see :func:`_plan_adaptive` — whether a
-    worker pool pays for itself at all.  A sweep whose pool would cost
-    more than it saves finishes serially, so ``jobs>1`` is never a
-    pessimization.  Results are bit-identical either way: blocking is
-    an execution detail the block-runner contract guarantees away.
-    """
-    n = len(task_list)
-    workers = min(jobs, os.cpu_count() or 1)
-    if n <= _SMALL_SWEEP_TASKS:
-        workers = 1  # pool overhead beats the savings at this size
-    if workers <= 1:
-        return _block_serial(runner, task_list)
-
-    probe = list(task_list[: _block_size(n, workers, runner)])
-    blocks_run = 1
-    pool_workers = 1
-    with observability.span(
-        "parallel.sweep", tasks=n, workers=workers
-    ):
-        start = time.perf_counter()  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
-        with observability.span("parallel.block", tasks=len(probe)):
-            values = list(runner.block_fn(probe))
-        probe_s = time.perf_counter() - start  # repro: allow-wallclock chunk-size probe; steers scheduling only, never task results
-        _check_block_results(values, probe, runner)
-        results: list[Any] = list(values)
-
-        remaining = task_list[len(probe):]
-        if remaining:
-            per_task = max(probe_s / len(probe), 1e-9)
-            plan = _plan_adaptive(
-                len(remaining), workers, runner, per_task
-            )
-            pooled: list[Any] | None = None
-            if plan is not None:
-                size, pool_workers = plan
-                chunks = [
-                    remaining[s : s + size]
-                    for s in range(0, len(remaining), size)
-                ]
-                pooled = _dispatch_block_pool(
-                    runner, chunks, pool_workers, transport
+            except (
+                ImportError, NotImplementedError, OSError, PermissionError
+            ) as exc:
+                return (
+                    f"cannot create a process pool "
+                    f"({type(exc).__name__}: {exc})"
                 )
-                if pooled is not None:
-                    blocks_run += len(chunks)
-            if pooled is not None:
-                results.extend(pooled)
-            else:
-                # Projected pool overhead exceeds projected savings
-                # (or no pool is available): finish serially with
-                # maximal blocks.
-                if plan is None:
-                    observability.counter_add("parallel.adaptive_serial")
-                pool_workers = 1
-                size = _block_size(len(remaining), 1, runner)
-                chunks = [
-                    remaining[s : s + size]
-                    for s in range(0, len(remaining), size)
-                ]
-                results.extend(_run_block_chunks(runner, chunks))
-                blocks_run += len(chunks)
-    if observability.OBS.enabled:
-        observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", n)
-        observability.counter_add("parallel.blocks", blocks_run)
-        observability.gauge_set("parallel.workers", pool_workers)
-    return results
+            try:
+                _pool_generation(
+                    sweep, executor, sweep.plan(pending, size), shm,
+                    snapshots,
+                )
+            except _PoolRestart as err:
+                rebuilds += 1
+                observability.counter_add("resilience.pool_rebuilds")
+                if rebuilds > max_rebuilds:
+                    return (
+                        f"process pool irrecoverable after {max_rebuilds} "
+                        f"rebuild(s) (last: {err})"
+                    )
+                warnings.warn(
+                    f"rebuilding worker pool ({err}); re-planning "
+                    f"{len(sweep.pending())} unfinished task(s)",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+    finally:
+        for snap in snapshots.values():
+            observability.merge_snapshot(snap)
+    return None
 
 
 def sweep_map(
     fn: Callable[[_T], _R],
     tasks: Iterable[_T],
     jobs: int | None = 1,
-    chunksize: int | None = None,
     *,
-    policy: Any | None = None,
-    checkpoint: Any | None = None,
+    policy: ResiliencePolicy | None = None,
+    checkpoint: str | os.PathLike[str] | SweepCheckpoint | None = None,
     transport: str | None = None,
 ) -> list[_R]:
     """Map *fn* over *tasks*, optionally across worker processes.
@@ -591,27 +668,22 @@ def sweep_map(
     jobs:
         Worker processes.  ``1`` runs serially in-process; ``None``/``0``
         resolves via :func:`resolve_jobs` (``REPRO_JOBS`` or CPU count).
-        The effective count is additionally capped at the machine's CPU
-        count; when that cap leaves a single worker, the sweep runs
-        serially (a one-worker pool is pure IPC overhead).
-    chunksize:
-        Tasks handed to a worker per dispatch; defaults to roughly four
-        chunks per worker, which amortizes pickling for short tasks
-        while keeping the pool load-balanced.
+        The effective count is additionally capped at the CPUs this
+        process may run on; when that cap leaves a single worker, the
+        sweep runs serially (a one-worker pool is pure IPC overhead).
     policy:
-        Optional :class:`repro.resilience.ResiliencePolicy`.  When set
-        (or when *checkpoint* is set) the sweep runs through
-        :func:`repro.resilience.resilient_sweep_map`, which adds
-        bounded retries, per-task timeouts, worker-crash recovery, and
-        poison-task quarantine while preserving this function's
-        ordering and determinism contract.
+        Optional :class:`repro.resilience.ResiliencePolicy`: bounded
+        retries, per-task timeouts, the pool-rebuild budget, poison-task
+        quarantine, and per-task fallback for a block that raises.
+        ``None`` means no retries, no timeout and no quarantine: the
+        first task exception propagates.
     checkpoint:
         Optional JSONL checkpoint path (or
         :class:`repro.resilience.SweepCheckpoint`): completed task
         results are journaled as they finish and a restarted sweep
         resumes from them instead of recomputing.
     transport:
-        How block payloads reach the workers: ``"shm"`` ships large
+        How chunk payloads reach the workers: ``"shm"`` ships large
         numpy buffers as zero-copy :mod:`repro.sharedmem` descriptors,
         ``"pickle"`` uses the classic pipe, and ``None``/``"auto"``
         (the default) picks shm whenever ``REPRO_SHM`` is not disabled
@@ -622,105 +694,78 @@ def sweep_map(
     -------
     list
         One result per task, **in task order** — bit-identical to
-        ``[fn(t) for t in tasks]``.
+        ``[fn(t) for t in tasks]`` (with ``policy.quarantine``, a
+        :class:`repro.resilience.TaskFailure` at a poison task's slot).
 
     Notes
     -----
-    Pool *creation* failures (platforms without process support) degrade
-    to the serial path.  Exceptions raised by *fn* itself always
-    propagate — a failing task is a bug, not a reason to fall back.
-
     When *fn* has a registered block runner (see
     :func:`register_block_runner`) and ``REPRO_VECTOR`` is not disabled,
-    the sweep dispatches scenario *blocks* through the runner's
-    vectorized block function instead of single tasks — same results,
-    bit-identical, but hundreds of scenarios advance in one numpy pass.
-    Sweeps of at most ``_SMALL_SWEEP_TASKS`` tasks run their blocks
-    serially in-process, where pool startup would dominate.
-    *chunksize* is ignored on the block path (block sizing is
-    chunk-adaptive).
+    chunks run through the runner's vectorized block function — same
+    results, but hundreds of scenarios advance in one numpy pass.
 
-    Each parallel task result additionally carries the worker's
-    cumulative metric snapshot (:mod:`repro.observability`); the final
-    snapshot per worker is merged into this process at sweep
-    completion, so memo hit/miss accounting
+    Sweeps of at most ``_SMALL_SWEEP_TASKS`` pending tasks run
+    in-process, where pool startup would dominate.  Larger ones run the
+    first chunk in-process and time it; the measured cost sizes the
+    remaining chunks and decides — see :func:`_plan_adaptive` — whether
+    a pool pays for itself at all.  A sweep with a task timeout skips
+    both and pools one task per chunk, since only a worker can be timed
+    out.  A pool that cannot be created (or stays broken past the
+    rebuild budget) degrades, with one :class:`RuntimeWarning`, to the
+    in-process loop.
+
+    Each pool result carries the worker's cumulative metric snapshot
+    (:mod:`repro.observability`); the final snapshot per worker is
+    merged into this process, so memo hit/miss accounting
     (:func:`repro.caching.cache_stats`) and — when tracing is enabled —
-    counters and span totals reflect worker-side activity.  The merge
-    never changes results.
+    counters and span totals reflect worker-side activity.
     """
-    if policy is not None or checkpoint is not None:
-        from .resilience import resilient_sweep_map
-
-        return resilient_sweep_map(
-            fn, tasks, jobs, policy=policy, checkpoint=checkpoint,
-            transport=transport,
-        )
     task_list = list(tasks)
     jobs = resolve_jobs(jobs)
-    if chunksize is not None:
-        check_positive_int(chunksize, "chunksize")
-    # Batchable task family: dispatch scenario blocks through the
-    # registered vector runner (even at jobs=1 — the stacked solve's
-    # amortization does not need a pool).  REPRO_VECTOR=0 makes
-    # block_runner_for return None, restoring the scalar path below.
-    runner = block_runner_for(fn)
-    if runner is not None and len(task_list) >= runner.min_block_tasks:
-        return _block_sweep(runner, task_list, jobs, transport)
-    if jobs == 1 or len(task_list) <= 1:
-        return _serial_map(fn, task_list)
-    if len(task_list) <= _SMALL_SWEEP_TASKS:
-        # Crossover guard: at this size pool spawn + per-task pickling
-        # costs more than it saves (the BENCH-observed
-        # designsearch_parallel_s > designsearch_serial_s), so a
-        # requested-parallel small sweep runs serially — with the pool
-        # path's observability contract intact.
-        return _serial_fallback(fn, task_list)
-
-    # Parallelism cannot beat the hardware: more workers than CPUs only
-    # adds process churn and pickling (a 1-CPU host ran the parallel
-    # design-search sweep ~2x slower than serial before this cap), so
-    # the effective count is bounded by the CPU count — and a bound of
-    # one means the pool would be pure overhead: run serially instead.
-    workers = min(jobs, len(task_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return _serial_fallback(fn, task_list)
-    if chunksize is None:
-        chunksize = max(1, -(-len(task_list) // (workers * 4)))
+    journal = checkpoint
+    if journal is not None and not isinstance(journal, SweepCheckpoint):
+        journal = SweepCheckpoint(journal)
+    sweep = _Sweep(fn, task_list, policy, journal)
+    timeout = None if policy is None else policy.task_timeout
     try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The initializer zeroes fork-inherited counters so each
-        # worker's cumulative snapshot is a clean delta (see
-        # observability.reset_worker).
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=observability.reset_worker
-        )
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        # No usable process pool on this platform/sandbox: the sweep
-        # still completes, just serially — but never invisibly.
-        warnings.warn(
-            f"cannot create a process pool "
-            f"({type(exc).__name__}: {exc}); running the sweep "
-            f"serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        observability.counter_add("parallel.fallback_serial")
-        return _serial_fallback(fn, task_list)
-    try:
-        with observability.span(
-            "parallel.sweep", tasks=len(task_list), workers=workers
+        pending = sweep.pending()
+        runner = block_runner_for(fn)
+        if (
+            runner is not None
+            and timeout is None
+            and len(pending) >= runner.min_block_tasks
         ):
-            pairs = list(
-                executor.map(
-                    _SnapshottingTask(fn), task_list, chunksize=chunksize
-                )
-            )
+            sweep.runner = runner
+        workers = max(1, min(jobs, len(pending), _usable_cpus()))
+        if timeout is None and len(pending) <= _SMALL_SWEEP_TASKS:
+            workers = 1  # pool overhead beats the savings at this size
+        with observability.span(
+            "parallel.sweep", tasks=len(pending), workers=workers
+        ):
+            size = 1
+            if workers > 1 and timeout is None:
+                size, workers = _probe(sweep, pending, workers)
+            if workers > 1:
+                reason = _run_pool(sweep, size, workers, transport)
+                if reason is not None:
+                    warnings.warn(
+                        f"{reason}; degrading to serial execution for the "
+                        f"remaining {len(sweep.pending())} task(s)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    observability.counter_add("parallel.fallback_serial")
+                    workers = 1
+            _run_serial(sweep, sweep.pending())
     finally:
-        executor.shutdown()
-    _merge_worker_snapshots(snap for _, snap in pairs)
+        if journal is not None:
+            journal.close()
     if observability.OBS.enabled:
         observability.counter_add("parallel.sweeps")
-        observability.counter_add("parallel.tasks", len(task_list))
+        observability.counter_add("parallel.tasks", len(pending))
+        observability.counter_add("parallel.blocks", sweep.chunks_done)
         observability.gauge_set("parallel.workers", workers)
-    return [result for result, _ in pairs]
+        if policy is not None or checkpoint is not None:
+            observability.counter_add("resilience.sweeps")
+            observability.counter_add("resilience.tasks", len(task_list))
+    return sweep.results

@@ -1,43 +1,27 @@
-"""Fault-tolerant sweep execution: retries, timeouts, checkpoint/resume.
+"""Sweep resilience: the retry policy and the checkpoint journal.
 
-:func:`repro.parallel.sweep_map` treats every task failure as fatal:
-one hung worker, one ``BrokenProcessPool``, or one crashing task aborts
-the whole sweep and discards every completed result.  That is the right
-default for unit-sized grids, but the fault-study and design-search
-sweeps run hundreds of scenarios for hours — the execution layer must
-survive partial failure the way the simulated network survives link
-failures.  This module provides that layer:
+:func:`repro.parallel.sweep_map` is the one sweep executor.  This
+module holds the two things a caller can hand it to survive partial
+failure, and nothing that executes tasks:
 
-* **bounded retries** with exponential backoff — a task that raises is
-  re-executed up to ``max_retries`` times with its *original* arguments
-  (per-task seeds travel inside the task tuple, so a retry is
-  deterministically re-seeded, never re-randomized);
-* **per-task wall-clock timeouts** — a task that exceeds
-  ``task_timeout`` seconds is treated like a failed attempt and the
-  pool is rebuilt (the stuck worker cannot be reclaimed);
-* **worker-crash detection** — a ``BrokenProcessPool`` rebuilds the
-  pool and resubmits every unfinished task, up to
-  ``max_pool_rebuilds`` times, after which the sweep degrades to
-  serial in-process execution with a warning;
-* **poison-task quarantine** — with ``quarantine=True`` a task that
-  exhausts its retries is recorded as a structured :class:`TaskFailure`
-  result at its slot instead of raising, so one poison scenario cannot
-  sink the other N-1;
-* **checkpoint/resume** — completed ``(task_key, result)`` records are
-  appended to a JSONL file as they finish; a restarted sweep skips
-  every task whose key hash is already on disk and recomputes the rest,
-  producing results bit-identical to an uninterrupted run.
+* :class:`ResiliencePolicy` (``sweep_map(..., policy=...)``) — bounded
+  retries with exponential backoff (a retry re-runs the task's
+  *original* arguments, so per-task seeds make it deterministic),
+  per-task wall-clock timeouts on the pool, the pool-rebuild budget
+  after worker deaths, and poison-task quarantine: a task that
+  exhausts its retries yields a :class:`TaskFailure` at its slot
+  instead of raising.  Without a policy a sweep has no retries, no
+  timeout and no quarantine: the first task exception propagates.
+* :class:`SweepCheckpoint` (``sweep_map(..., checkpoint=...)``) — an
+  append-only JSONL journal of completed ``(task_key, result)``
+  records.  A restarted sweep skips every task whose key is on disk
+  and recomputes the rest, bit-identical to an uninterrupted run.
+  Tasks are matched by :func:`task_key`, a SHA-256 hash of the pickled
+  task, so a journal from a *different* grid simply misses.
 
-Determinism is preserved throughout: results are assembled in task
-order, retries re-run identical arguments, and resumed tasks are
-verified by a SHA-256 hash of their pickled task tuple — a checkpoint
-from a *different* grid simply misses and recomputes.
-
-All activity is surfaced through :mod:`repro.observability` counters
-(``resilience.retries``, ``resilience.timeouts``,
-``resilience.quarantined``, ``resilience.pool_rebuilds``,
-``resilience.resumed_tasks``, ``resilience.fallback_serial``) and the
-``resilience.sweep`` span.
+:func:`resilient_sweep_map` is a forward to ``sweep_map`` kept for
+existing callers.  The ``REPRO_RESILIENCE_TEST_KILL`` hook lets the
+chaos tests kill a worker (or the driver) at a chosen task.
 """
 
 from __future__ import annotations
@@ -47,14 +31,13 @@ import hashlib
 import json
 import os
 import pickle
-import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, TypeVar
 
-from . import env, observability
+from . import env
 from ._validation import check_nonnegative_int
 
 __all__ = [
@@ -84,7 +67,7 @@ TEST_KILL_EXIT_CODE = 43
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs for :func:`resilient_sweep_map`.
+    """Failure handling for :func:`repro.parallel.sweep_map`.
 
     Attributes
     ----------
@@ -110,7 +93,13 @@ class ResiliencePolicy:
         exception — matching plain ``sweep_map`` semantics.
     max_pool_rebuilds:
         How many times a broken/stuck pool is rebuilt before the sweep
-        degrades to serial execution for the remaining tasks.
+        degrades to serial execution for the remaining tasks.  A sweep
+        without a policy rebuilds up to the default number of times.
+
+    A policy also turns a failed block into per-task execution: the
+    block's tasks re-run one by one through the task function, with
+    the retries above, so one poison scenario degrades its block and
+    never the sweep.
     """
 
     max_retries: int = 2
@@ -286,21 +275,39 @@ class SweepCheckpoint:
             return False
         return False
 
+    def resume(
+        self, fn: Callable[..., Any], tasks: Sequence[Any]
+    ) -> tuple[list[str], dict[int, Any]]:
+        """Open the journal for a sweep of *fn* over *tasks*.
+
+        Returns every task's key and the journaled results of the tasks
+        already done, as ``{task index: result}``; the journal is then
+        open for :meth:`record`.
+        """
+        name = _fn_name(fn)
+        keys = [task_key(t) for t in tasks]
+        done = self.load(name)
+        self.open_for_append(name, len(tasks))
+        return keys, {i: done[k] for i, k in enumerate(keys) if k in done}
+
     # -- writing ----------------------------------------------------
 
     def open_for_append(self, fn_name: str, num_tasks: int) -> None:
+        # A killed run can leave an unterminated last line (a torn
+        # record or header).  It is ended with a newline first, else the
+        # next record would be glued onto the fragment and lost with it.
         # A fresh header is also written when the existing file lacks a
         # valid one (torn first line): the old headerless records stay
         # dead — load() refuses them — but everything journaled from
         # here on resumes normally, so one torn header costs one
         # recompute, not the checkpoint file.
-        needs_header = (
-            not self.path.exists()
-            or self.path.stat().st_size == 0
-            or not self._has_valid_header()
-        )
+        size = self.path.stat().st_size if self.path.exists() else 0
+        torn = size > 0 and not self._ends_with_newline()
+        needs_header = size == 0 or not self._has_valid_header()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("a", encoding="utf-8")
+        if torn:
+            self._handle.write("\n")
         if needs_header:
             self._write(
                 {
@@ -310,6 +317,11 @@ class SweepCheckpoint:
                     "tasks": num_tasks,
                 }
             )
+
+    def _ends_with_newline(self) -> bool:
+        with self.path.open("rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) == b"\n"
 
     def record(self, key: str, index: int, result: Any) -> None:
         if self._handle is None:
@@ -333,7 +345,7 @@ class SweepCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Worker-side task wrapper
+# Test kill hook
 
 
 def _maybe_test_kill(index: int) -> None:
@@ -356,499 +368,6 @@ def _maybe_test_kill(index: int) -> None:
     os._exit(TEST_KILL_EXIT_CODE)
 
 
-class _ResilientTask:
-    """Picklable per-submit wrapper: kill hook + metric snapshot."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[_T], Any]):
-        self._fn = fn
-
-    def __call__(
-        self, index: int, task: _T
-    ) -> tuple[Any, observability.TraceSnapshot]:
-        _maybe_test_kill(index)
-        return self._fn(task), observability.worker_snapshot()
-
-
-class _ResilientBlock:
-    """Picklable block wrapper: kill hook per contained scenario.
-
-    The kill hook fires for *every* index the block contains, so a
-    chaos test targeting scenario ``i`` kills the worker (or, serially,
-    the driver) no matter how the sweep was blocked — exactly the
-    mid-block death the checkpoint/resume tests simulate.
-
-    The chunk may arrive as a :class:`repro.sharedmem.ShmPayload`
-    (shared-memory transport): it is decoded to zero-copy views *after*
-    the kill hook, so an injected death leaves the payload untouched —
-    the parent unlinks that dispatch generation's segments during the
-    pool rebuild.  With ``shm_results=True`` large result buffers
-    travel back through worker-owned segments (the parent materializes
-    owned copies before journaling: checkpoints record contents, never
-    segment names).
-    """
-
-    __slots__ = ("_block_fn", "_shm_results")
-
-    def __init__(
-        self,
-        block_fn: Callable[[Sequence[_T]], Sequence[Any]],
-        shm_results: bool = False,
-    ):
-        self._block_fn = block_fn
-        self._shm_results = shm_results
-
-    def __call__(
-        self, indices: Sequence[int], chunk: Any
-    ) -> tuple[Any, observability.TraceSnapshot]:
-        from . import sharedmem
-
-        for i in indices:
-            _maybe_test_kill(i)
-        chunk = sharedmem.shm_loads(chunk)
-        with observability.span("parallel.block", tasks=len(chunk)):
-            values = list(self._block_fn(chunk))
-        out: Any = values
-        if self._shm_results:
-            out = sharedmem.maybe_shm_dumps(values)
-        return out, observability.worker_snapshot()
-
-
-# ----------------------------------------------------------------------
-# Execution paths
-
-
-class _PoolRestart(Exception):
-    """Internal: unwind to the pool-rebuild loop."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-@dataclass
-class _SweepState:
-    """Mutable bookkeeping shared by the pool and serial paths."""
-
-    fn: Callable[[Any], Any]
-    tasks: Sequence[Any]
-    results: list[Any]
-    policy: ResiliencePolicy
-    ckpt: SweepCheckpoint | None
-    keys: Sequence[str] | None
-    attempts: dict[int, int] = field(default_factory=dict)
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    pool_rebuilds: int = 0
-
-    def pending(self) -> list[int]:
-        return [
-            i for i, r in enumerate(self.results) if r is _PENDING
-        ]
-
-    def complete(self, index: int, value: Any) -> None:
-        self.results[index] = value
-        if self.ckpt is not None and self.keys is not None:
-            self.ckpt.record(self.keys[index], index, value)
-
-    def fail(self, index: int, exc: BaseException) -> None:
-        """A task exhausted its retries: quarantine or raise."""
-        if not self.policy.quarantine:
-            raise exc
-        self.quarantined += 1
-        observability.counter_add("resilience.quarantined")
-        self.results[index] = TaskFailure(
-            index=index,
-            task=_short_repr(self.tasks[index]),
-            error_type=type(exc).__name__,
-            error=str(exc),
-            attempts=self.attempts.get(index, 0),
-        )
-
-    def note_attempt_failed(self, index: int) -> bool:
-        """Record a failed attempt; True if the task may retry."""
-        self.attempts[index] = self.attempts.get(index, 0) + 1
-        if self.attempts[index] > self.policy.max_retries:
-            return False
-        self.retries += 1
-        observability.counter_add("resilience.retries")
-        time.sleep(self.policy.backoff(self.attempts[index]))  # repro: allow-wallclock retry backoff; delays rerun, never changes results
-        return True
-
-
-_PENDING = object()
-
-
-def _short_repr(task: Any, limit: int = 120) -> str:
-    text = repr(task)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _run_serial(state: _SweepState, indices: Sequence[int]) -> None:
-    """In-process execution with the same retry/quarantine semantics.
-
-    The kill hook fires here too — in the serial path it terminates the
-    driver process itself, which is exactly what the checkpoint/resume
-    chaos tests want: a deterministic mid-sweep death.
-    """
-    runner = _ResilientTask(state.fn)
-    for i in indices:
-        while True:
-            try:
-                value, _snap = runner(i, state.tasks[i])
-            except Exception as exc:
-                if state.note_attempt_failed(i):
-                    continue
-                state.fail(i, exc)
-                break
-            else:
-                state.complete(i, value)
-                break
-
-
-def _plan_blocks(
-    pending: Sequence[int], workers: int, runner: Any
-) -> list[list[int]]:
-    """Chunk the pending index list into contiguous blocks."""
-    from .parallel import _block_size
-
-    size = _block_size(len(pending), workers, runner)
-    return [
-        list(pending[s : s + size])
-        for s in range(0, len(pending), size)
-    ]
-
-
-def _run_block_serial(
-    state: _SweepState, indices: Sequence[int], runner: Any
-) -> None:
-    """In-process block execution with per-scenario checkpointing.
-
-    A block that raises falls back to per-task :func:`_run_serial` for
-    exactly that chunk — the scalar task function with full
-    retry/quarantine semantics — so one poison scenario degrades its
-    block, never the sweep.  The kill hook fires per contained index
-    (terminating the driver, as the serial chaos tests expect).
-    """
-    from .parallel import _check_block_results
-
-    blocks = _plan_blocks(indices, 1, runner)
-    block_runner = _ResilientBlock(runner.block_fn)
-    for blk in blocks:
-        chunk = [state.tasks[i] for i in blk]
-        try:
-            values, _snap = block_runner(blk, chunk)
-            _check_block_results(values, chunk, runner)
-        except Exception:
-            observability.counter_add("resilience.block_fallbacks")
-            _run_serial(state, blk)
-            continue
-        for i, v in zip(blk, values):
-            state.complete(i, v)
-        observability.counter_add("resilience.blocks")
-
-
-def _run_block_pool(
-    state: _SweepState,
-    workers: int,
-    runner: Any,
-    transport: str | None = None,
-) -> None:
-    """Pool block execution with crash recovery and rebuilds.
-
-    Mirrors :func:`_run_pool`: a ``BrokenProcessPool`` (e.g. the chaos
-    kill hook firing mid-block) rebuilds the pool and re-plans blocks
-    over the *remaining* scenarios — completed blocks' scenarios were
-    already journaled individually, so the re-planned blocking need not
-    match the original one.  A block whose function raises falls back
-    to per-task serial execution for that chunk.
-
-    With the shared-memory transport each dispatch generation's chunks
-    live in one parent-owned segment pool, unlinked when the generation
-    completes **or** dies — a worker kill mid-block must not leave its
-    generation's ``/dev/shm`` segments behind.  Results are
-    materialized (owned copies) before they reach the checkpoint, so
-    the journal records contents, never segment names.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    from . import sharedmem
-    from .parallel import _check_block_results, _pool_worker_init
-
-    # Never spawn more pool processes than the block plan can feed: a
-    # worker with no block to run is pure fork cost (the small-block
-    # over-provisioning bug).
-    workers = min(
-        workers, len(_plan_blocks(state.pending(), workers, runner))
-    )
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_worker_init,
-        )
-
-    try:
-        executor = make_pool()
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        warnings.warn(
-            f"no usable process pool "
-            f"({type(exc).__name__}: {exc}); running the blocked "
-            f"resilient sweep serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        observability.counter_add("resilience.fallback_serial")
-        _run_block_serial(state, state.pending(), runner)
-        return
-
-    mode = sharedmem.resolve_transport(transport)
-    snapshots: dict[int, observability.TraceSnapshot] = {}
-
-    def harvest(snap: observability.TraceSnapshot) -> None:
-        cur = snapshots.get(snap.pid)
-        if cur is None or snap.seq > cur.seq:
-            snapshots[snap.pid] = snap
-
-    tx: Any = None
-    try:
-        while True:
-            pending = state.pending()
-            if not pending:
-                break
-            blocks = _plan_blocks(pending, workers, runner)
-            chunks = [[state.tasks[i] for i in blk] for blk in blocks]
-            if mode == "shm":
-                tx = sharedmem.SharedArrayPool()
-                payloads: list[Any] = [tx.dumps(c) for c in chunks]
-            else:
-                payloads = chunks
-            futures: list[Any] = []
-            try:
-                futures = [
-                    executor.submit(
-                        _ResilientBlock(
-                            runner.block_fn, shm_results=mode == "shm"
-                        ),
-                        blk,
-                        payload,
-                    )
-                    for blk, payload in zip(blocks, payloads)
-                ]
-                for blk, fut in zip(blocks, futures):
-                    try:
-                        values, snap = fut.result()
-                        values = sharedmem.decode_result(values)
-                        _check_block_results(
-                            values, blk, runner
-                        )
-                    except BrokenProcessPool:
-                        raise _PoolRestart(
-                            "worker process died mid-block"
-                        ) from None
-                    except Exception:
-                        # The block form failed; the scalar task
-                        # function is the oracle — run this chunk
-                        # per-task with full retry semantics.
-                        observability.counter_add(
-                            "resilience.block_fallbacks"
-                        )
-                        _run_serial(state, blk)
-                        continue
-                    harvest(snap)
-                    for i, v in zip(blk, values):
-                        state.complete(i, v)
-                    observability.counter_add("resilience.blocks")
-                if tx is not None:
-                    tx.unlink()
-                    tx = None
-            except (_PoolRestart, BrokenProcessPool) as err:
-                restart = (
-                    err
-                    if isinstance(err, _PoolRestart)
-                    else _PoolRestart("worker process died")
-                )
-                state.pool_rebuilds += 1
-                observability.counter_add("resilience.pool_rebuilds")
-                executor.shutdown(wait=False, cancel_futures=True)
-                # Futures that completed but were never consumed may
-                # hold worker-produced result segments; their scenarios
-                # will be recomputed, so release the orphaned payloads.
-                for fut in futures:
-                    if fut.done() and not fut.cancelled():
-                        try:
-                            values, _snap = fut.result()
-                        except Exception:
-                            continue
-                        sharedmem.release_payload(values)
-                if tx is not None:
-                    # The dead generation's segments: unlink now, the
-                    # re-planned generation gets a fresh pool.
-                    tx.unlink()
-                    tx = None
-                if state.pool_rebuilds > state.policy.max_pool_rebuilds:
-                    warnings.warn(
-                        f"process pool irrecoverable after "
-                        f"{state.policy.max_pool_rebuilds} rebuild(s) "
-                        f"(last: {restart.reason}); degrading to "
-                        f"serial block execution for the remaining "
-                        f"{len(state.pending())} task(s)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    observability.counter_add(
-                        "resilience.fallback_serial"
-                    )
-                    _run_block_serial(state, state.pending(), runner)
-                    return
-                warnings.warn(
-                    f"rebuilding worker pool "
-                    f"({restart.reason}); re-planning blocks over "
-                    f"{len(state.pending())} unfinished task(s)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                executor = make_pool()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-        if tx is not None:
-            tx.unlink()
-    for snap in snapshots.values():
-        observability.merge_snapshot(snap)
-
-
-def _run_pool(state: _SweepState, workers: int) -> None:
-    """Pool execution with timeout, crash recovery, and rebuilds."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=observability.reset_worker,
-        )
-
-    try:
-        executor = make_pool()
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
-        warnings.warn(
-            f"no usable process pool "
-            f"({type(exc).__name__}: {exc}); running the resilient "
-            f"sweep serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        observability.counter_add("resilience.fallback_serial")
-        _run_serial(state, state.pending())
-        return
-
-    snapshots: dict[int, observability.TraceSnapshot] = {}
-
-    def harvest(snap: observability.TraceSnapshot) -> None:
-        cur = snapshots.get(snap.pid)
-        if cur is None or snap.seq > cur.seq:
-            snapshots[snap.pid] = snap
-
-    try:
-        while True:
-            pending = state.pending()
-            if not pending:
-                break
-            try:
-                futures = {
-                    i: executor.submit(
-                        _ResilientTask(state.fn), i, state.tasks[i]
-                    )
-                    for i in pending
-                }
-                for i in pending:
-                    if state.results[i] is not _PENDING:
-                        continue
-                    while True:
-                        try:
-                            value, snap = futures[i].result(
-                                timeout=state.policy.task_timeout
-                            )
-                        except FuturesTimeout:
-                            state.timeouts += 1
-                            observability.counter_add(
-                                "resilience.timeouts"
-                            )
-                            if not state.note_attempt_failed(i):
-                                state.fail(
-                                    i,
-                                    TimeoutError(
-                                        f"task exceeded "
-                                        f"{state.policy.task_timeout}s "
-                                        f"wall-clock budget"
-                                    ),
-                                )
-                            # Either way the worker is stuck on this
-                            # task: the pool must be rebuilt.
-                            raise _PoolRestart(
-                                f"task {i} timed out"
-                            ) from None
-                        except BrokenProcessPool:
-                            raise _PoolRestart(
-                                "worker process died"
-                            ) from None
-                        except Exception as exc:
-                            if state.note_attempt_failed(i):
-                                futures[i] = executor.submit(
-                                    _ResilientTask(state.fn),
-                                    i,
-                                    state.tasks[i],
-                                )
-                                continue
-                            state.fail(i, exc)
-                            break
-                        else:
-                            harvest(snap)
-                            state.complete(i, value)
-                            break
-            except (_PoolRestart, BrokenProcessPool) as err:
-                # BrokenProcessPool can also surface from submit()
-                # itself when the pool died between result waits.
-                restart = (
-                    err
-                    if isinstance(err, _PoolRestart)
-                    else _PoolRestart("worker process died")
-                )
-                state.pool_rebuilds += 1
-                observability.counter_add("resilience.pool_rebuilds")
-                executor.shutdown(wait=False, cancel_futures=True)
-                if state.pool_rebuilds > state.policy.max_pool_rebuilds:
-                    warnings.warn(
-                        f"process pool irrecoverable after "
-                        f"{state.policy.max_pool_rebuilds} rebuild(s) "
-                        f"(last: {restart.reason}); degrading to "
-                        f"serial execution for the remaining "
-                        f"{len(state.pending())} task(s)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    observability.counter_add(
-                        "resilience.fallback_serial"
-                    )
-                    _run_serial(state, state.pending())
-                    return
-                warnings.warn(
-                    f"rebuilding worker pool "
-                    f"({restart.reason}); resubmitting "
-                    f"{len(state.pending())} unfinished task(s)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                executor = make_pool()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    for snap in snapshots.values():
-        observability.merge_snapshot(snap)
-
-
 def resilient_sweep_map(
     fn: Callable[[_T], Any],
     tasks: Iterable[_T],
@@ -858,106 +377,10 @@ def resilient_sweep_map(
     checkpoint: str | os.PathLike[str] | SweepCheckpoint | None = None,
     transport: str | None = None,
 ) -> list[Any]:
-    """Fault-tolerant :func:`repro.parallel.sweep_map`.
+    """Forward to :func:`repro.parallel.sweep_map` (same arguments)."""
+    from .parallel import sweep_map  # late: parallel imports this module
 
-    Identical contract — one result per task, in task order,
-    bit-identical across ``jobs`` — plus the retry/timeout/quarantine
-    semantics of *policy* and optional checkpoint/resume via
-    *checkpoint* (a JSONL path or :class:`SweepCheckpoint`).
-    *transport* selects how block payloads reach pool workers
-    (``"shm"``/``"pickle"``/auto — see :func:`repro.parallel.sweep_map`);
-    checkpoints always journal materialized result *contents*,
-    regardless of transport.
-
-    With ``policy.quarantine`` the result list may contain
-    :class:`TaskFailure` entries; callers that opt in must be prepared
-    to see them.  Failures are never written to the checkpoint, so a
-    resumed run retries them.
-    """
-    from .parallel import resolve_jobs  # late: avoid import cycle
-
-    task_list = list(tasks)
-    if policy is None:
-        policy = ResiliencePolicy()
-    jobs = resolve_jobs(jobs)
-
-    results: list[Any] = [_PENDING] * len(task_list)
-    keys: list[str] | None = None
-    ckpt: SweepCheckpoint | None = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint
-            if isinstance(checkpoint, SweepCheckpoint)
-            else SweepCheckpoint(checkpoint)
-        )
-        name = _fn_name(fn)
-        keys = [task_key(t) for t in task_list]
-        completed = ckpt.load(name)
-        resumed = 0
-        for i, key in enumerate(keys):
-            if key in completed:
-                results[i] = completed[key]
-                resumed += 1
-        if resumed:
-            observability.counter_add(
-                "resilience.resumed_tasks", resumed
-            )
-        ckpt.open_for_append(name, len(task_list))
-
-    state = _SweepState(
-        fn=fn,
-        tasks=task_list,
-        results=results,
-        policy=policy,
-        ckpt=ckpt,
-        keys=keys,
+    return sweep_map(
+        fn, tasks, jobs, policy=policy, checkpoint=checkpoint,
+        transport=transport,
     )
-    try:
-        pending = state.pending()
-        with observability.span(
-            "resilience.sweep",
-            tasks=len(task_list),
-            pending=len(pending),
-        ):
-            if pending:
-                workers = min(
-                    jobs, len(pending), os.cpu_count() or 1
-                )
-                # Blocked execution needs indefinite result waits, so
-                # per-task timeouts keep the scalar path.  Scenarios
-                # are checkpointed individually either way.
-                runner = None
-                if policy.task_timeout is None:
-                    from .parallel import (
-                        _SMALL_SWEEP_TASKS,
-                        block_runner_for,
-                    )
-
-                    runner = block_runner_for(fn)
-                if (
-                    runner is not None
-                    and len(pending) >= runner.min_block_tasks
-                ):
-                    if (
-                        workers <= 1
-                        or len(pending) <= _SMALL_SWEEP_TASKS
-                    ):
-                        _run_block_serial(state, pending, runner)
-                    else:
-                        _run_block_pool(
-                            state, workers, runner, transport
-                        )
-                elif workers <= 1:
-                    _run_serial(state, pending)
-                else:
-                    _run_pool(state, workers)
-    finally:
-        if ckpt is not None:
-            ckpt.close()
-    if observability.OBS.enabled:
-        observability.counter_add("resilience.sweeps")
-        observability.counter_add(
-            "resilience.tasks", len(task_list)
-        )
-    assert all(r is not _PENDING for r in results)
-    return results

@@ -12,9 +12,9 @@ Two legs:
 * a subprocess driver killed by ``REPRO_RESILIENCE_TEST_KILL`` while the
   serial-blocked path is between blocks (``os._exit``, like a SIGKILL),
   resumed against its ``--checkpoint`` journal;
-* a direct ``_run_block_pool`` call whose worker is killed mid-block,
-  forcing the ``BrokenProcessPool`` → pool-rebuild → re-planned-blocks
-  recovery path.
+* a pooled ``sweep_map`` whose worker is killed mid-block, forcing the
+  ``BrokenProcessPool`` → pool-rebuild → re-planned-blocks recovery
+  path.
 """
 
 from __future__ import annotations
@@ -193,39 +193,60 @@ def _square_block(xs) -> list[int]:
     return [_square(x) for x in xs]
 
 
+@pytest.fixture
+def pooled_blocks(monkeypatch):
+    """Register two-task blocks for ``_square``/``_array_sum`` and make
+    the pool pay: two CPUs and zero modeled pool overhead, so a 10-task
+    sweep runs its first block in-process and the other four blocks in
+    a two-worker pool."""
+    import repro.parallel as parallel
+
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_SMALL_SWEEP_TASKS", 0)
+    monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+    monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
+    for fn, block_fn in ((_square, _square_block),
+                         (_array_sum, _array_sum_block)):
+        parallel.register_block_runner(
+            fn, block_fn, min_block_tasks=2, max_block_tasks=2
+        )
+    yield
+    for fn in (_square, _array_sum):
+        parallel.unregister_block_runner(fn)
+
+
+def _arm_kill(monkeypatch, tmp_path, index=4):
+    """Kill the worker that starts task *index*, once."""
+    marker = tmp_path / "kill.marker"
+    monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", str(index))
+    monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker))
+    return marker
+
+
+@pytest.fixture
+def traced():
+    from repro import observability
+
+    was_enabled = observability.enabled()
+    observability.enable()
+    observability.reset()
+    yield observability.OBS
+    observability.OBS.enabled = was_enabled
+    observability.reset()
+
+
 class TestBlockPoolWorkerDeath:
     def test_broken_pool_rebuilds_and_replans(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, pooled_blocks, traced
     ):
-        from repro.parallel import BlockRunner
-        from repro.resilience import (
-            ResiliencePolicy,
-            _PENDING,
-            _run_block_pool,
-            _SweepState,
-        )
+        from repro.parallel import sweep_map
 
         tasks = list(range(10))
-        state = _SweepState(
-            fn=_square,
-            tasks=tasks,
-            results=[_PENDING] * len(tasks),
-            policy=ResiliencePolicy(),
-            ckpt=None,
-            keys=None,
-        )
-        runner = BlockRunner(
-            block_fn=_square_block, min_block_tasks=2, max_block_tasks=2
-        )
-        marker = tmp_path / "kill.marker"
-        monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
-        monkeypatch.setenv(
-            "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
-        )
+        marker = _arm_kill(monkeypatch, tmp_path)
         with pytest.warns(RuntimeWarning, match="rebuilding worker pool"):
-            _run_block_pool(state, workers=1, runner=runner)
-        assert state.results == [x * x for x in tasks]
-        assert state.pool_rebuilds >= 1
+            out = sweep_map(_square, tasks, jobs=2)
+        assert out == [x * x for x in tasks]
+        assert traced.counters["resilience.pool_rebuilds"] >= 1
         assert marker.exists()
 
 
@@ -247,28 +268,14 @@ def _array_sum_block(tasks):
     return [_array_sum(t) for t in tasks]
 
 
-def _shm_state_and_runner():
+def _array_tasks():
     import numpy as np
-
-    from repro.parallel import BlockRunner
-    from repro.resilience import ResiliencePolicy, _PENDING, _SweepState
 
     # Each task carries a 160 KB plane, well past MIN_SHARED_BYTES, so
     # every dispatched chunk genuinely creates shared segments.
     tasks = [(i, np.full(20_000, float(i))) for i in range(10)]
-    state = _SweepState(
-        fn=_array_sum,
-        tasks=tasks,
-        results=[_PENDING] * len(tasks),
-        policy=ResiliencePolicy(),
-        ckpt=None,
-        keys=None,
-    )
-    runner = BlockRunner(
-        block_fn=_array_sum_block, min_block_tasks=2, max_block_tasks=2
-    )
     expected = [float(arr.sum()) for _i, arr in tasks]
-    return state, runner, expected
+    return tasks, expected
 
 
 @pytest.mark.skipif(
@@ -276,53 +283,45 @@ def _shm_state_and_runner():
     reason="multiprocessing.shared_memory unusable on this platform",
 )
 class TestShmChaosCleanup:
-    def test_normal_completion_leaves_no_segments(self):
-        from repro.resilience import _run_block_pool
+    def test_normal_completion_leaves_no_segments(self, pooled_blocks):
+        from repro.parallel import sweep_map
 
-        state, runner, expected = _shm_state_and_runner()
-        _run_block_pool(state, workers=1, runner=runner, transport="shm")
-        assert state.results == expected
+        tasks, expected = _array_tasks()
+        assert sweep_map(
+            _array_sum, tasks, jobs=2, transport="shm"
+        ) == expected
         assert sharedmem.active_segments() == []
 
     def test_worker_kill_midblock_leaves_no_segments(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, pooled_blocks, traced
     ):
         """A killed worker breaks the pool mid-generation: the rebuild
         must unlink that generation's segments before re-planning."""
-        from repro.resilience import _run_block_pool
+        from repro.parallel import sweep_map
 
-        state, runner, expected = _shm_state_and_runner()
-        marker = tmp_path / "kill.marker"
-        monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
-        monkeypatch.setenv(
-            "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
-        )
+        tasks, expected = _array_tasks()
+        marker = _arm_kill(monkeypatch, tmp_path)
         with pytest.warns(RuntimeWarning, match="rebuilding worker pool"):
-            _run_block_pool(
-                state, workers=1, runner=runner, transport="shm"
-            )
-        assert state.results == expected
-        assert state.pool_rebuilds >= 1
+            out = sweep_map(_array_sum, tasks, jobs=2, transport="shm")
+        assert out == expected
+        assert traced.counters["resilience.pool_rebuilds"] >= 1
         assert marker.exists()
         assert sharedmem.active_segments() == []
 
     def test_degraded_serial_fallback_leaves_no_segments(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, pooled_blocks
     ):
         """Exhausting pool rebuilds degrades to serial blocks; the dead
         generations' segments must all be gone by then."""
-        from repro.resilience import ResiliencePolicy, _run_block_pool
+        from repro.parallel import sweep_map
+        from repro.resilience import ResiliencePolicy
 
-        state, runner, expected = _shm_state_and_runner()
-        state.policy = ResiliencePolicy(max_pool_rebuilds=0)
-        marker = tmp_path / "kill.marker"
-        monkeypatch.setenv("REPRO_RESILIENCE_TEST_KILL", "4")
-        monkeypatch.setenv(
-            "REPRO_RESILIENCE_TEST_KILL_MARKER", str(marker)
-        )
+        tasks, expected = _array_tasks()
+        _arm_kill(monkeypatch, tmp_path)
         with pytest.warns(RuntimeWarning, match="degrading to"):
-            _run_block_pool(
-                state, workers=1, runner=runner, transport="shm"
+            out = sweep_map(
+                _array_sum, tasks, jobs=2, transport="shm",
+                policy=ResiliencePolicy(max_pool_rebuilds=0),
             )
-        assert state.results == expected
+        assert out == expected
         assert sharedmem.active_segments() == []

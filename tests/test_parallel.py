@@ -9,6 +9,7 @@ import pytest
 from repro.parallel import (
     BlockRunner,
     _block_size,
+    _usable_cpus,
     block_runner_for,
     register_block_runner,
     resolve_jobs,
@@ -67,19 +68,9 @@ class TestSweepMap:
         with pytest.raises(ValueError, match="task 3"):
             sweep_map(failing, range(5), jobs=2)
 
-    def test_explicit_chunksize(self):
-        items = list(range(10))
-        assert sweep_map(square, items, jobs=2, chunksize=3) == [
-            x * x for x in items
-        ]
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             sweep_map(square, [1, 2], jobs=-2)
-
-    def test_rejects_bad_chunksize(self):
-        with pytest.raises(ValueError):
-            sweep_map(square, [1, 2], jobs=2, chunksize=0)
 
     def test_consumes_generators_eagerly(self):
         gen = (x for x in range(6))
@@ -93,7 +84,7 @@ class TestCpuCap:
     def test_single_cpu_runs_serially(self, monkeypatch):
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
 
         def _no_pool(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError(
@@ -111,7 +102,9 @@ class TestCpuCap:
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         seen: dict[str, int] = {}
 
         import concurrent.futures
@@ -136,7 +129,7 @@ class TestCpuCap:
         import repro.parallel as parallel
         from repro import observability
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
         s = observability.OBS
         saved = (
             s.enabled, s.events, s.dropped_events, s.stack,
@@ -166,7 +159,9 @@ class TestCpuCap:
         def _broken_pool(*args, **kwargs):
             raise OSError("no process support")
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _broken_pool
         )
@@ -288,7 +283,7 @@ class TestBlockDispatch:
 
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
 
         def _no_pool(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError(
@@ -314,7 +309,7 @@ class TestBlockDispatch:
 
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         seen: dict[str, int] = {}
@@ -347,6 +342,32 @@ class TestBlockDispatch:
         assert _block_size(500, 2, runner) == 16
 
 
+    def test_cpu_affinity_caps_blocked_sweep(
+        self, tracked_runner, monkeypatch
+    ):
+        """Under a one-CPU affinity limit on an 8-CPU host, ``jobs=8``
+        must not spawn a pool."""
+        import concurrent.futures
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def _no_pool(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError(
+                "ProcessPoolExecutor created under a one-CPU affinity"
+            )
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _no_pool
+        )
+        items = list(range(40))
+        assert sweep_map(tracked_square, items, jobs=8) == [
+            x * x for x in items
+        ]
+        assert sum(_BLOCK_CALLS) == len(items)
+
+
 class TestPlainPathCrossover:
     """Satellite regression: the small-sweep serial cutoff applies to
     the plain per-task path, not only block-dispatched families."""
@@ -356,7 +377,7 @@ class TestPlainPathCrossover:
 
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
 
         def _no_pool(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError(
@@ -374,7 +395,9 @@ class TestPlainPathCrossover:
 
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         created = []
         real_pool = concurrent.futures.ProcessPoolExecutor
 
@@ -444,7 +467,7 @@ class TestAdaptiveScheduling:
 
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
         # Model an impossibly expensive pool so the plan says serial.
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 1e9)
 
@@ -474,7 +497,7 @@ class TestAdaptiveScheduling:
 
         if transport == "shm" and not sharedmem.shm_supported():
             pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         items = list(range(40))
@@ -487,7 +510,7 @@ class TestAdaptiveScheduling:
     def test_rejects_unknown_transport(self, tracked_runner, monkeypatch):
         import repro.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         with pytest.raises(ValueError, match="transport"):
@@ -497,14 +520,100 @@ class TestAdaptiveScheduling:
             )
 
 
+
+class TestOneExecutor:
+    """Differential: a block-runner function and a plain function give
+    ``[fn(t) for t in tasks]`` through every path of the one executor —
+    in-process and pooled, plain, checkpointed and resumed, and with no
+    process pool available."""
+
+    ITEMS = list(range(40))  # above the small-sweep cutoff
+
+    @pytest.fixture(autouse=True)
+    def pool_pays(self, monkeypatch):
+        import repro.parallel as parallel
+
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
+
+    @pytest.mark.parametrize(
+        "mode", ["plain", "checkpointed", "resumed", "pool-failure"]
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("blocked", [True, False],
+                             ids=["block-runner", "plain-fn"])
+    def test_every_path_matches_plain_map(
+        self, request, tmp_path, monkeypatch, blocked, jobs, mode
+    ):
+        import concurrent.futures
+        import warnings
+
+        fn = square
+        if blocked:
+            request.getfixturevalue("tracked_runner")
+            fn = tracked_square
+        expected = [fn(x) for x in self.ITEMS]
+        kwargs = {}
+        if mode in ("checkpointed", "resumed"):
+            kwargs["checkpoint"] = tmp_path / "ckpt.jsonl"
+        if mode == "resumed":
+            assert sweep_map(fn, self.ITEMS, jobs=jobs, **kwargs) == expected
+            # Keep the header and five records: 35 tasks stay pending,
+            # still above the cutoff, so jobs=2 resumes through the pool.
+            ckpt = kwargs["checkpoint"]
+            lines = ckpt.read_text().splitlines()
+            ckpt.write_text("\n".join(lines[:6]) + "\n")
+        created = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def _spy_pool(*args, **kw):
+            created.append(kw.get("max_workers"))
+            if mode == "pool-failure":
+                raise OSError("no process support")
+            return real_pool(*args, **kw)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _spy_pool
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sweep_map(fn, self.ITEMS, jobs=jobs, **kwargs)
+        assert got == expected
+        assert created == ([2] if jobs == 2 else [])
+        if blocked:
+            assert _BLOCK_CALLS
+        fallbacks = [
+            w for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+        want = 1 if (mode == "pool-failure" and jobs == 2) else 0
+        assert len(fallbacks) == want, [str(w.message) for w in fallbacks]
+        if mode in ("checkpointed", "resumed"):
+            records = [
+                line for line in
+                kwargs["checkpoint"].read_text().splitlines()
+                if '"type":"task"' in line
+            ]
+            assert len(records) == len(self.ITEMS)
+
+
 class TestResolveJobs:
     def test_positive_passthrough(self):
         assert resolve_jobs(3) == 3
 
     def test_auto_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        assert resolve_jobs(None) == _usable_cpus()
+        assert resolve_jobs(0) == _usable_cpus()
+
+    def test_auto_honours_cpu_affinity(self, monkeypatch):
+        """A ``taskset``/cpuset limit caps ``jobs=0``, not the host
+        CPU count."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == 1
 
     def test_auto_honours_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
@@ -513,13 +622,13 @@ class TestResolveJobs:
     def test_invalid_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
-            assert resolve_jobs(0) == (os.cpu_count() or 1)
+            assert resolve_jobs(0) == _usable_cpus()
 
     @pytest.mark.parametrize("raw", ["-2", "0", "", "abc"])
     def test_invalid_env_warns_naming_value(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_JOBS", raw)
         with pytest.warns(RuntimeWarning) as record:
-            assert resolve_jobs(None) == (os.cpu_count() or 1)
+            assert resolve_jobs(None) == _usable_cpus()
         message = str(record[0].message)
         assert "REPRO_JOBS" in message
         assert repr(raw) in message

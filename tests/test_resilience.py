@@ -1,8 +1,9 @@
-"""Unit tests for the fault-tolerant sweep executor.
+"""Unit tests for fault-tolerant sweeps.
 
-Covers the :mod:`repro.resilience` layer: policy validation, task key
-hashing, the JSONL checkpoint journal, retry/quarantine semantics on
-both the serial and pool paths, worker-crash recovery, per-task
+Covers :mod:`repro.resilience` — policy validation, task key hashing,
+the JSONL checkpoint journal — and what a policy or journal does
+inside :func:`repro.parallel.sweep_map`: retry/quarantine semantics on
+both the in-process and pool loops, worker-crash recovery, per-task
 timeouts, and checkpoint/resume determinism.
 """
 
@@ -32,6 +33,10 @@ from repro.resilience import (
 
 def _square(x):
     return x * x
+
+
+#: The journal header name of ``_square``.
+_SQUARE_FN = f"{_square.__module__}.{_square.__qualname__}"
 
 
 def _boom(task):
@@ -161,6 +166,36 @@ class TestSweepCheckpoint:
         with path.open("a") as fh:
             fh.write('{"type": "task", "key": "k1", "resu')  # torn write
         assert SweepCheckpoint(path).load("mod.fn") == {"k0": 11}
+
+    def test_torn_last_record_does_not_swallow_the_next(self, tmp_path):
+        """A 4-task journal whose last record was torn, resumed as a
+        6-task sweep: the first new record must not be glued onto the
+        torn fragment (which lost it, loading back 5 of 6)."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        resilient_sweep_map(_square, range(4), checkpoint=ckpt)
+        text = ckpt.read_text()
+        ckpt.write_text(text[: text.rindex("\n") - 10])  # torn, no newline
+        assert resilient_sweep_map(
+            _square, range(6), checkpoint=ckpt
+        ) == [x * x for x in range(6)]
+        loaded = SweepCheckpoint(ckpt).load(_SQUARE_FN)
+        assert sorted(loaded.values()) == [x * x for x in range(6)]
+
+    def test_torn_header_without_newline_keeps_resumed_records(
+        self, tmp_path
+    ):
+        """A header torn mid-write (no newline): the resumed run's fresh
+        header must start on its own line, else that run's records are
+        all headerless and recomputed on the next resume."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt.write_text('{"type": "header", "vers')
+        assert resilient_sweep_map(
+            _square, [1, 2, 3], checkpoint=ckpt
+        ) == [1, 4, 9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loaded = SweepCheckpoint(ckpt).load(_SQUARE_FN)
+        assert sorted(loaded.values()) == [1, 4, 9]
 
     def test_corrupt_result_payload_skipped(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -388,12 +423,17 @@ class TestCheckpointResume:
 class TestPoolResilience:
     @pytest.fixture(autouse=True)
     def force_pool(self, monkeypatch):
-        """Pretend to have CPUs: the pool path must run even on a
-        single-core runner, where the cap would silently serialize
-        (and the serial kill hook would take pytest down with it)."""
-        import os
+        """Pretend to have CPUs and a free pool: the pool path must run
+        even on a single-core runner, where the cap would silently
+        serialize (and the serial kill hook would take pytest down with
+        it), and for these few cheap tasks, which the small-sweep
+        cutoff and the probe's cost model would keep in-process."""
+        import repro.parallel as parallel
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "_SMALL_SWEEP_TASKS", 0)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
 
     def test_parallel_matches_serial(self):
         tasks = list(range(8))
@@ -530,12 +570,14 @@ class TestShmTransport:
     ):
         import numpy as np
 
-        import repro.resilience as resilience
+        import repro.parallel as parallel
         from repro import sharedmem
 
         if not sharedmem.shm_supported():
             pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(resilience.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         ckpt = tmp_path / "ckpt.jsonl"
         tasks = list(range(40))  # above the small-sweep serial cutoff
         out = resilient_sweep_map(
@@ -555,12 +597,14 @@ class TestShmTransport:
     def test_shm_matches_pickle_transport(self, big_runner, monkeypatch):
         import numpy as np
 
-        import repro.resilience as resilience
+        import repro.parallel as parallel
         from repro import sharedmem
 
         if not sharedmem.shm_supported():
             pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(resilience.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         tasks = list(range(40))
         shm = resilient_sweep_map(
             _big_result, tasks, jobs=2, transport="shm"
