@@ -295,17 +295,19 @@ def test_trace_overhead_on_pairing_hot_path(perf_record, report):
 
 
 def test_batch_router_speedup_on_pairing(perf_record, report):
-    """Scalar (``REPRO_VECTOR=0``) vs batch-routed pairing sweep.
+    """Per-pair scalar oracle vs batch-routed pairing sweep.
 
-    The CSR batch router plus the PathMatrix-native solvers must beat
-    the per-pair scalar path by at least 5x on the Figure 3/4 geometry
-    grid — with bit-identical PairingResults (exact float equality).
+    The CSR batch router plus the stacked block solve must beat the
+    per-pair scalar oracle (``tests/oracles/scalar_sweeps.py``) by at
+    least 5x on the Figure 3/4 geometry grid — with bit-identical
+    PairingResults (exact float equality).
     """
     from repro.allocation.geometry import PartitionGeometry
     from repro.experiments.pairing import (
         PairingParameters,
         run_pairing_sweep,
     )
+    from tests.oracles.scalar_sweeps import pairing_result
 
     geometries = [
         PartitionGeometry(dims)
@@ -314,23 +316,15 @@ def test_batch_router_speedup_on_pairing(perf_record, report):
     ]
     params = PairingParameters(rounds=4)
 
-    def sweep():
-        return run_pairing_sweep(geometries, params, jobs=1)
+    def scalar_sweep():
+        return [pairing_result(g, params) for g in geometries]
 
-    saved = os.environ.get("REPRO_VECTOR")
-    try:
-        os.environ["REPRO_VECTOR"] = "0"
-        clear_all_caches()
-        sweep()  # warm geometry memos so both passes run the same code
-        scalar, t_scalar = _timed(sweep)
-
-        os.environ["REPRO_VECTOR"] = "1"
-        vector, t_vector = _timed(sweep)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_VECTOR", None)
-        else:
-            os.environ["REPRO_VECTOR"] = saved
+    clear_all_caches()
+    scalar_sweep()  # warm geometry memos so both passes run the same code
+    scalar, t_scalar = _timed(scalar_sweep)
+    vector, t_vector = _timed(
+        lambda: run_pairing_sweep(geometries, params, jobs=1)
+    )
 
     assert vector == scalar  # frozen dataclasses: bit-identical floats
 

@@ -6,11 +6,11 @@ water-filling them in a single numpy pass beats solving them one at a
 time.  This harness times a 201-scenario ``fluid_fault_sweep`` grid
 three ways on the same tasks:
 
-* **stacked** — the block-dispatched driver path (the default);
-* **vector per-scenario** — one scenario at a time through the same
-  vectorized router and scalar water-fill (block dispatch bypassed);
-* **oracle per-scenario** — ``REPRO_VECTOR=0``, the scalar reference
-  path the differential suite pins the stacked results to.
+* **stacked** — the block-dispatched driver path;
+* **one-scenario blocks** — ``_fluid_scenario`` per task, the block
+  form on a block of one;
+* **oracle per-scenario** — ``tests/oracles/scalar_sweeps.py``, the
+  scalar reference the differential suite pins the stacked results to.
 
 It records ``sweep_throughput_scenarios_per_s`` (stacked) and
 ``sweep_scalar_scenarios_per_s`` (oracle) in the BENCH_perf.json
@@ -34,6 +34,7 @@ from repro.experiments.faultstudy import (
     _fluid_scenario,
     fluid_fault_sweep,
 )
+from tests.oracles.scalar_sweeps import fault_scenario_row
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -95,6 +96,7 @@ def test_stacked_sweep_throughput(report):
     # Warm caches (routing tables, memoized layouts) on every path so
     # the timed sections compare steady-state throughput.
     _ = [_fluid_scenario(t) for t in tasks[:3]]
+    _ = [fault_scenario_row(t) for t in tasks[:3]]
     _ = fluid_fault_sweep(
         GEOMETRY, max_failures=1, trials=2, seed=SEED, jobs=1
     )
@@ -113,15 +115,9 @@ def test_stacked_sweep_throughput(report):
     vector_rows = [_fluid_scenario(t) for t in tasks]
     vector_s = time.perf_counter() - t0
 
-    assert os.environ.get("REPRO_VECTOR") is None
-    os.environ["REPRO_VECTOR"] = "0"
-    try:
-        _ = [_fluid_scenario(t) for t in tasks[:3]]  # warm oracle path
-        t0 = time.perf_counter()
-        oracle_rows = [_fluid_scenario(t) for t in tasks]
-        oracle_s = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_VECTOR"]
+    t0 = time.perf_counter()
+    oracle_rows = [fault_scenario_row(t) for t in tasks]
+    oracle_s = time.perf_counter() - t0
 
     # The speedup only counts if the answers are bit-identical.
     assert stacked_rows == vector_rows
@@ -154,9 +150,8 @@ def test_stacked_sweep_throughput(report):
             }
             for name, secs, rate in [
                 ("stacked block dispatch", stacked_s, stacked_rate),
-                ("vector per-scenario", vector_s, vector_rate),
-                ("oracle per-scenario (REPRO_VECTOR=0)", oracle_s,
-                 oracle_rate),
+                ("one-scenario blocks", vector_s, vector_rate),
+                ("oracle per-scenario", oracle_s, oracle_rate),
             ]
         ],
         ["path", "elapsed_s", "scenarios_per_s", "vs_oracle"],

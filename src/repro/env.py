@@ -145,7 +145,7 @@ def get_flag(name: str) -> bool:
     """A flag knob's value: default when unset, else shared truthiness.
 
     An empty (or all-whitespace) value counts as *unset*, not as
-    "off" — ``REPRO_VECTOR= python ...`` has always meant "default".
+    "off" — ``REPRO_SHM= python ...`` has always meant "default".
     """
     raw = get_raw(name)
     if raw is None or not raw.strip():
@@ -183,11 +183,6 @@ register(
     "Observability collection: falsey = off, truthy = collect "
     "in-memory, any other value = collect and export JSONL to that "
     "path (repro.observability).",
-)
-register(
-    "REPRO_VECTOR", "flag", True,
-    "Vectorized batch routing; REPRO_VECTOR=0 restores the scalar "
-    "oracle router end-to-end (repro.netsim.batchroute).",
 )
 register(
     "REPRO_SHM", "flag", True,

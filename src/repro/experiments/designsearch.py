@@ -26,7 +26,7 @@ from .._validation import check_positive_int
 from ..allocation.enumeration import factorizations_into_dims
 from ..allocation.optimizer import best_geometry_for_machine
 from ..machines.bgq import BlueGeneQMachine
-from ..parallel import register_block_runner, sweep_map
+from ..parallel import sweep_map
 
 __all__ = [
     "DesignCandidate",
@@ -86,29 +86,6 @@ def _score_candidate(
     dims, sizes = task
     machine = BlueGeneQMachine(f"candidate-{'x'.join(map(str, dims))}", dims)
     return score_machine(machine, list(sizes))
-
-
-def _score_candidate_block(
-    tasks: list[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> list[dict[int, int]]:
-    """Block form of :func:`_score_candidate`: plain chunking.
-
-    Candidate scoring has no stacked numpy kernel — the win here is
-    dispatch economics: registering a block form routes small design
-    searches through :func:`repro.parallel.sweep_map`'s serial blocked
-    path (no pool startup for sweeps the pool made *slower*, the
-    BENCH_perf.json crossover seam) and hands big searches to workers
-    as a few large blocks instead of many small pickles.
-    """
-    return [_score_candidate(t) for t in tasks]
-
-
-register_block_runner(
-    _score_candidate,
-    _score_candidate_block,
-    min_block_tasks=2,
-    max_block_tasks=64,
-)
 
 
 def design_search(

@@ -44,7 +44,7 @@ from ..netsim.batchroute import (
     batch_fault_aware_routes,
     fault_capacity_plane,
 )
-from ..netsim.fairness import max_min_fair_rates, stacked_max_min_fair_rates
+from ..netsim.fairness import stacked_max_min_fair_rates
 from ..netsim.network import LinkNetwork
 from ..netsim.stacked import StackedPathMatrix
 from ..parallel import register_block_runner, sweep_map
@@ -263,48 +263,13 @@ def _fluid_scenario(
     task: tuple[tuple[int, ...], int, int, int, float, str],
 ) -> FaultScenarioRow:
     """Flow-level surviving bandwidth of one seeded failure draw."""
-    dims, k, trial, trial_seed, link_bandwidth, tie = task
-    torus, net, edges, src, dst = _fluid_net_for(dims, link_bandwidth)
-    faults = random_link_failures(torus, k, seed=trial_seed, edges=edges)
-    pm, disconnected = batch_fault_aware_routes(
-        torus, src, dst, faults, tie=tie
-    )
-    fnet = net.with_faults(faults) if faults else net
-    active = None
-    if disconnected.size:
-        active = np.setdiff1d(
-            np.arange(len(pm), dtype=np.int64),
-            disconnected,
-            assume_unique=True,
-        )
-    if active is not None and active.size == 0:
-        surviving = 0.0
-    else:
-        rates = max_min_fair_rates(pm, fnet.capacities, active=active)
-        surviving = float(rates.sum()) / (2.0 * link_bandwidth)
-    degraded = None
-    if disconnected.size:
-        i = int(disconnected[0])
-        verts = list(torus.vertices())
-        degraded = DegradedResult(
-            scenario=(k, trial),
-            faults=faults,
-            witness=(verts[int(src[i])], verts[int(dst[i])]),
-            disconnected_flows=int(disconnected.size),
-        )
-    return FaultScenarioRow(
-        failures=k,
-        trial=trial,
-        seed=trial_seed,
-        bandwidth=surviving,
-        degraded=degraded,
-    )
+    return _fluid_scenario_block([task])[0]
 
 
 def _fluid_scenario_block(
     tasks: list[tuple[tuple[int, ...], int, int, int, float, str]],
 ) -> list[FaultScenarioRow]:
-    """Stacked form of :func:`_fluid_scenario`: one numpy water-fill.
+    """Fault scenarios solved as a block: one numpy water-fill.
 
     Groups the block's scenarios by ``(dims, link_bandwidth, tie)``
     (one group per geometry in practice), routes the healthy antipodal
@@ -313,9 +278,10 @@ def _fluid_scenario_block(
     :class:`~repro.netsim.stacked.StackedPathMatrix`, and solves every
     scenario's max-min rates in a single
     :func:`~repro.netsim.fairness.stacked_max_min_fair_rates` pass.
-    Rows are **bit-identical** to ``[_fluid_scenario(t) for t in
-    tasks]`` (differential-tested) — the per-scenario sums index the
-    compacted active rates so even float summation order matches.
+    This is the only driver path: a single scenario is a block of one.
+    Rows are **bit-identical** to solving each scenario alone with the
+    scalar solver (differential-tested) — the per-scenario sums index
+    the compacted active rates so even float summation order matches.
     """
     rows: list[FaultScenarioRow | None] = [None] * len(tasks)
     groups: dict[tuple, list[int]] = {}
@@ -362,7 +328,7 @@ def _fluid_scenario_block(
                 surviving = 0.0
             elif active is not None:
                 # Compact before summing: same values in the same
-                # order as the scalar path's active-rate vector, so
+                # order as the scalar solver's active-rate vector, so
                 # the pairwise float sum is bit-identical.
                 surviving = float(rates_s[active].sum()) / (
                     2.0 * link_bandwidth
@@ -391,10 +357,7 @@ def _fluid_scenario_block(
 
 
 register_block_runner(
-    _fluid_scenario,
-    _fluid_scenario_block,
-    min_block_tasks=2,
-    max_block_tasks=256,
+    _fluid_scenario, _fluid_scenario_block, max_block_tasks=256
 )
 
 

@@ -23,17 +23,11 @@ from .. import observability
 from .._validation import check_positive_float, check_positive_int
 from ..allocation.geometry import PartitionGeometry
 from ..kernels.costmodel import LINK_BANDWIDTH_GB_PER_S
-from ..netsim.batchroute import (
-    PathMatrix,
-    batch_dimension_ordered_routes,
-    vector_enabled,
-)
+from ..netsim.batchroute import PathMatrix, batch_dimension_ordered_routes
 from ..netsim.fairness import max_min_fair_rates
-from ..netsim.fluid import FluidSimulation, StackedFluidSimulation
+from ..netsim.fluid import StackedFluidSimulation
 from ..netsim.network import LinkNetwork
-from ..netsim.routing import dimension_ordered_route
 from ..netsim.stacked import StackedPathMatrix
-from ..netsim.traffic import bisection_pairing
 from ..parallel import register_block_runner, sweep_map
 from ..topology.torus import Torus
 
@@ -133,19 +127,6 @@ def pairing_path_matrix(torus: Torus, tie: str = "parity") -> PathMatrix:
     return batch_dimension_ordered_routes(torus, src, dst, tie=tie)
 
 
-def _pairing_paths(
-    torus: Torus, net: LinkNetwork, tie: str
-) -> PathMatrix | list[np.ndarray]:
-    """Antipodal-pairing paths: batch-routed, or scalar under
-    ``REPRO_VECTOR=0`` (the oracle escape hatch)."""
-    if vector_enabled():
-        return pairing_path_matrix(torus, tie=tie)
-    return [
-        net.path_to_links(dimension_ordered_route(torus, src, dst, tie=tie))
-        for src, dst in bisection_pairing(torus)
-    ]
-
-
 def fluid_bisection_bandwidth(
     geometry: PartitionGeometry,
     link_bandwidth: float = LINK_BANDWIDTH_GB_PER_S,
@@ -164,8 +145,9 @@ def fluid_bisection_bandwidth(
     check_positive_float(link_bandwidth, "link_bandwidth")
     torus = geometry.bgq_network()
     net = LinkNetwork(torus, link_bandwidth=link_bandwidth)
-    paths = _pairing_paths(torus, net, tie)
-    rates = max_min_fair_rates(paths, net.capacities)
+    rates = max_min_fair_rates(
+        pairing_path_matrix(torus, tie=tie), net.capacities
+    )
     return float(rates.sum()) / (2.0 * link_bandwidth)
 
 
@@ -188,43 +170,25 @@ def run_pairing(
     """
     if params is None:
         params = PairingParameters()
-    torus = geometry.bgq_network()
-    net = LinkNetwork(torus, link_bandwidth=params.link_bandwidth)
-    paths = _pairing_paths(torus, net, params.tie)
-    volume = params.volume_per_pair_gb
-    sim = FluidSimulation(net, paths, [volume] * len(paths))
-    makespan, _, rates = sim.solve()
-    if observability.OBS.enabled:
-        observability.counter_add("pairing.runs")
-        observability.counter_add("pairing.flows", len(paths))
-        observability.counter_add("pairing.gb", volume * len(paths))
-    return PairingResult(
-        geometry=geometry,
-        time_seconds=makespan,
-        min_rate=float(rates.min()),
-        max_rate=float(rates.max()),
-        num_flows=len(paths),
-    )
+    return _pairing_block([(geometry, params)])[0]
 
 
 def _pairing_task(
     task: tuple[PartitionGeometry, PairingParameters],
 ) -> PairingResult:
-    geometry, params = task
-    return run_pairing(geometry, params)
+    return _pairing_block([task])[0]
 
 
 def _pairing_block(
     tasks: list[tuple[PartitionGeometry, PairingParameters]],
 ) -> list[PairingResult]:
-    """Stacked form of :func:`_pairing_task`: one fluid loop for the
-    whole block of geometries.
+    """The pairing benchmark on a block of geometries: one fluid loop.
 
     Each geometry's antipodal pairing becomes one scenario of a
     :class:`~repro.netsim.stacked.StackedPathMatrix`; a single
     :class:`~repro.netsim.fluid.StackedFluidSimulation` then advances
-    all of them together.  Results are bit-identical to running
-    :func:`run_pairing` per geometry (differential-tested).
+    all of them together.  This is the only driver path: a single
+    geometry is a block of one.
     """
     scenarios = []
     for geometry, params in tasks:
@@ -262,12 +226,7 @@ def _pairing_block(
     return results
 
 
-register_block_runner(
-    _pairing_task,
-    _pairing_block,
-    min_block_tasks=2,
-    max_block_tasks=64,
-)
+register_block_runner(_pairing_task, _pairing_block, max_block_tasks=64)
 
 
 def run_pairing_sweep(

@@ -20,7 +20,6 @@ from .batchroute import (
     fault_link_mask,
     link_layout,
     masked_bfs_links,
-    vector_enabled,
     vertex_indices,
 )
 from .collectives import (
@@ -66,7 +65,6 @@ __all__ = [
     "fault_link_mask",
     "link_layout",
     "masked_bfs_links",
-    "vector_enabled",
     "vertex_indices",
     "StackedPathMatrix",
     "segment_min",

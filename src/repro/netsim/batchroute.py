@@ -16,7 +16,7 @@ torus, so this module batches the whole computation:
 * :class:`PathMatrix` holds the result in CSR form: one flat
   ``link_ids`` array plus ``offsets``, with per-flow views,
   ``bincount``-ready flattening (:meth:`PathMatrix.flow_ids`), and a
-  ``Sequence[np.ndarray]``-shaped iteration protocol so existing código
+  ``Sequence[np.ndarray]``-shaped iteration protocol so existing code
   that loops over per-flow arrays keeps working.
 
 Link ids come from an analytic layout (:func:`link_layout`) that mirrors
@@ -27,10 +27,6 @@ dimensions) — so batch-routed ids are **bit-identical** to
 ``net.path_to_links(dimension_ordered_route(...))``.  Property tests
 (``tests/properties/test_property_batchroute.py``) enforce this
 link-for-link against the scalar oracle.
-
-The scalar path remains available everywhere as an escape hatch: set
-``REPRO_VECTOR=0`` in the environment and the experiment drivers fall
-back to the oracle router.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import contracts, env
+from .. import contracts
 from ..caching import memoized
 from ..topology.torus import Torus
 from .routing import check_tie
@@ -55,23 +51,7 @@ __all__ = [
     "fault_capacity_plane",
     "masked_bfs_links",
     "vertex_indices",
-    "vector_enabled",
 ]
-
-#: Environment knob: ``REPRO_VECTOR=0`` disables the vectorized batch
-#: path in the experiment drivers, restoring the scalar oracle router.
-_VECTOR_ENV = "REPRO_VECTOR"
-
-
-def vector_enabled() -> bool:
-    """Whether the vectorized batch-routing path is enabled.
-
-    Reads ``REPRO_VECTOR`` at call time; any of ``0``, ``false``,
-    ``no``, ``off`` (case-insensitive) disables it.  The knob exists so
-    the scalar router — kept as the property-test oracle — can be forced
-    end-to-end when debugging a suspected vectorization issue.
-    """
-    return env.get_flag(_VECTOR_ENV)
 
 
 class PathMatrix:
@@ -758,30 +738,6 @@ def masked_bfs_links(
     return None  # pragma: no cover - loop exits via v_ok.size above
 
 
-def _route_links(
-    layout: TorusLinkLayout, torus: Torus, route: Sequence[tuple[int, ...]]
-) -> np.ndarray:
-    """Directed link ids of a vertex-list route, via the analytic layout.
-
-    Bit-identical to ``LinkNetwork.path_to_links(route)`` (the layout
-    mirrors the network's id assignment; property-tested).
-    """
-    m = len(route) - 1
-    if m <= 0:
-        return np.empty(0, dtype=np.int64)
-    ndim = torus.ndim
-    dims = torus.dims
-    strides = layout.strides
-    out = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        u, v = route[j], route[j + 1]
-        k = next(i for i in range(ndim) if u[i] != v[i])
-        step = 1 if (u[k] + 1) % dims[k] == v[k] else -1
-        rank = sum(int(u[i]) * int(strides[i]) for i in range(ndim))
-        out[j] = layout.link_id(rank, k, step)
-    return out
-
-
 def batch_fault_aware_routes(
     torus: Torus,
     src: np.ndarray,
@@ -796,10 +752,9 @@ def batch_fault_aware_routes(
     All flows are first routed by the vectorized
     :func:`batch_dimension_ordered_routes`; only flows whose natural
     path crosses a blocked link (or whose endpoint node is down) fall
-    back to a BFS reroute on the surviving links — the vectorized
-    :func:`masked_bfs_links` normally, or the scalar
-    :func:`~repro.netsim.routing.fault_aware_route` oracle under
-    ``REPRO_VECTOR=0`` (both produce identical links; property-tested).
+    back to a BFS reroute on the surviving links with
+    :func:`masked_bfs_links` (link for link the scalar
+    :func:`~repro.netsim.routing.fault_aware_route`; property-tested).
     A flow with *no* surviving route does not raise — it gets an empty
     path and its index is reported, so one severed pair degrades that
     flow, not the whole batch (per-scenario degradation, the sweep
@@ -854,36 +809,17 @@ def batch_fault_aware_routes(
     empty = np.empty(0, dtype=np.int64)
     replacements: dict[int, np.ndarray] = {}
     disconnected: list[int] = []
-    if vector_enabled():
-        for i in need.tolist():
-            if node_down[src[i]] or node_down[dst[i]]:
-                disconnected.append(i)
-                replacements[i] = empty
-                continue
-            links = masked_bfs_links(
-                torus, int(src[i]), int(dst[i]), mask
-            )
-            if links is None:
-                disconnected.append(i)
-                replacements[i] = empty
-            else:
-                replacements[i] = links
-    else:
-        from ..faults import PartitionDisconnectedError
-        from .routing import fault_aware_route
-
-        layout = link_layout(torus)
-        verts = list(torus.vertices())
-        for i in need.tolist():
-            try:
-                route = fault_aware_route(
-                    torus, verts[src[i]], verts[dst[i]], faults, tie=tie
-                )
-            except PartitionDisconnectedError:
-                disconnected.append(i)
-                replacements[i] = empty
-                continue
-            replacements[i] = _route_links(layout, torus, route)
+    for i in need.tolist():
+        if node_down[src[i]] or node_down[dst[i]]:
+            disconnected.append(i)
+            replacements[i] = empty
+            continue
+        links = masked_bfs_links(torus, int(src[i]), int(dst[i]), mask)
+        if links is None:
+            disconnected.append(i)
+            replacements[i] = empty
+        else:
+            replacements[i] = links
     return (
         _splice_paths(pm, replacements),
         np.asarray(disconnected, dtype=np.int64),

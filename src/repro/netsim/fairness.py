@@ -97,10 +97,10 @@ def max_min_fair_rates(
     """
     pm = paths if isinstance(paths, PathMatrix) else PathMatrix.from_paths(paths)
     capacities = np.asarray(capacities, dtype=float)
-    if validate and np.any(capacities < 0):
-        raise ValueError("link capacities must be non-negative")
     if contracts.enabled():
         contracts.check_solver_inputs("max_min_fair_rates", capacities)
+    if validate and not np.all(capacities >= 0):
+        raise ValueError("link capacities must be non-negative")
     n_total = len(pm)
     n_links = len(capacities)
 
@@ -159,7 +159,7 @@ def max_min_fair_rates(
             raise ValueError(
                 f"demands has {len(demand_arr)} entries for {n_total} flows"
             )
-        if np.any(demand_arr <= 0):
+        if not np.all(demand_arr > 0):
             raise ValueError("all demands must be positive")
         demand_act = demand_arr[act]
 
@@ -277,12 +277,12 @@ def stacked_max_min_fair_rates(
     n_flows = stack.num_flows
     n_links = stack.num_links
     capacities = stack.capacities
-    if np.any(capacities < 0):
-        raise ValueError("link capacities must be non-negative")
     if contracts.enabled():
         contracts.check_solver_inputs(
             "stacked_max_min_fair_rates", capacities
         )
+    if not np.all(capacities >= 0):
+        raise ValueError("link capacities must be non-negative")
 
     act = stack.active
     if active is not None:
@@ -331,7 +331,7 @@ def stacked_max_min_fair_rates(
                 f"demands has {len(demand_arr)} entries for "
                 f"{n_flows} flows"
             )
-        if np.any(demand_arr <= 0):
+        if not np.all(demand_arr > 0):
             raise ValueError("all demands must be positive")
 
     # Flows that traverse no link are unconstrained (or demand-capped).

@@ -104,7 +104,7 @@ class FluidSimulation:
                 f"{len(pm)} paths but {len(volumes)} volumes"
             )
         vol = np.asarray(list(volumes), dtype=float)
-        if np.any(vol <= 0):
+        if not np.all(vol > 0):
             raise ValueError("all flow volumes must be positive")
         self._net = network
         self._pm = pm
@@ -264,7 +264,7 @@ class StackedFluidSimulation:
             raise ValueError(
                 f"{stack.num_flows} stacked flows but {len(vol)} volumes"
             )
-        if np.any(vol <= 0):
+        if not np.all(vol > 0):
             raise ValueError("all flow volumes must be positive")
         self._stack = stack
         self._volumes = vol

@@ -140,13 +140,13 @@ def split_seeds(seed: int, n: int) -> tuple[int, ...]:
 # Some task functions have a *block form* — a module-level callable that
 # evaluates a whole list of tasks in one vectorized pass (e.g. the
 # stacked fluid solver advancing hundreds of fault scenarios in one
-# numpy water-fill) and returns one result per task, bit-identical to
-# ``[fn(t) for t in tasks]``.  Registering that block form lets
-# :func:`sweep_map` dispatch scenario *blocks* instead of single tasks:
-# the per-scenario python overhead amortizes across the block, and the
-# pool moves far fewer (bigger) pickles.  The scalar path remains the
-# oracle: ``REPRO_VECTOR=0`` disables block dispatch entirely, and the
-# differential suite pins block results to the scalar ones.
+# numpy water-fill) and returns one result per task.  Registering that
+# block form lets :func:`sweep_map` dispatch scenario *blocks* instead
+# of single tasks: the per-scenario python overhead amortizes across
+# the block, and the pool moves far fewer (bigger) pickles.  Block
+# forms are the only driver path: each registered task function is its
+# block form applied to a block of one, and ``tests/oracles/`` holds the
+# scalar references the differential suites pin them to.
 
 #: Sweeps at or below this many tasks run serially in-process — pool
 #: startup + pickling costs more than it saves at this size (the
@@ -175,18 +175,14 @@ class BlockRunner:
     ----------
     block_fn:
         Module-level callable mapping a list of tasks to a list of
-        results (one per task, in order, bit-identical to the scalar
-        task function applied per task).
-    min_block_tasks:
-        Smallest sweep size worth block dispatch; smaller sweeps use
-        the plain per-task path.
+        results (one per task, in order, bit-identical to the task
+        function applied per task).
     max_block_tasks:
         Upper bound on tasks per block — caps peak memory of the
         stacked solve.
     """
 
     block_fn: Callable[[Sequence[Any]], Sequence[Any]]
-    min_block_tasks: int = 2
     max_block_tasks: int = 256
 
 
@@ -197,7 +193,6 @@ def register_block_runner(
     task_fn: Callable[[_T], _R],
     block_fn: Callable[[Sequence[_T]], Sequence[_R]],
     *,
-    min_block_tasks: int = 2,
     max_block_tasks: int = 256,
 ) -> None:
     """Register *block_fn* as the batched form of *task_fn*.
@@ -208,17 +203,9 @@ def register_block_runner(
     enforces bit-identity, and :func:`sweep_map` validates the result
     count of every block.
     """
-    check_positive_int(min_block_tasks, "min_block_tasks")
     check_positive_int(max_block_tasks, "max_block_tasks")
-    if max_block_tasks < min_block_tasks:
-        raise ValueError(
-            f"max_block_tasks ({max_block_tasks}) < min_block_tasks "
-            f"({min_block_tasks})"
-        )
     _BLOCK_RUNNERS[task_fn] = BlockRunner(
-        block_fn=block_fn,
-        min_block_tasks=min_block_tasks,
-        max_block_tasks=max_block_tasks,
+        block_fn=block_fn, max_block_tasks=max_block_tasks
     )
 
 
@@ -230,18 +217,8 @@ def unregister_block_runner(task_fn: Callable[..., Any]) -> None:
 def block_runner_for(
     fn: Callable[..., Any]
 ) -> BlockRunner | None:
-    """The active block runner for *fn*, or ``None``.
-
-    Returns ``None`` when no block form is registered **or** when
-    ``REPRO_VECTOR=0`` disables the vector paths — callers need no
-    separate knob check.
-    """
-    reg = _BLOCK_RUNNERS.get(fn)
-    if reg is None:
-        return None
-    from .netsim.batchroute import vector_enabled
-
-    return reg if vector_enabled() else None
+    """The registered block runner for *fn*, or ``None``."""
+    return _BLOCK_RUNNERS.get(fn)
 
 
 def _block_size(n: int, workers: int, runner: BlockRunner | None) -> int:
@@ -700,9 +677,9 @@ def sweep_map(
     Notes
     -----
     When *fn* has a registered block runner (see
-    :func:`register_block_runner`) and ``REPRO_VECTOR`` is not disabled,
-    chunks run through the runner's vectorized block function — same
-    results, but hundreds of scenarios advance in one numpy pass.
+    :func:`register_block_runner`), chunks run through the runner's
+    vectorized block function — same results, but hundreds of scenarios
+    advance in one numpy pass.
 
     Sweeps of at most ``_SMALL_SWEEP_TASKS`` pending tasks run
     in-process, where pool startup would dominate.  Larger ones run the
@@ -729,13 +706,8 @@ def sweep_map(
     timeout = None if policy is None else policy.task_timeout
     try:
         pending = sweep.pending()
-        runner = block_runner_for(fn)
-        if (
-            runner is not None
-            and timeout is None
-            and len(pending) >= runner.min_block_tasks
-        ):
-            sweep.runner = runner
+        if timeout is None:
+            sweep.runner = block_runner_for(fn)
         workers = max(1, min(jobs, len(pending), _usable_cpus()))
         if timeout is None and len(pending) <= _SMALL_SWEEP_TASKS:
             workers = 1  # pool overhead beats the savings at this size

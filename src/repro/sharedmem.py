@@ -41,9 +41,8 @@ materializing the results (:func:`decode_result` copies them out — a
 checkpoint must journal contents, never segment names).
 
 ``REPRO_SHM=0`` disables the transport everywhere (the pickle pipe is
-the oracle, exactly like ``REPRO_VECTOR=0`` for the vector compute
-paths); platforms without a usable ``shared_memory`` implementation
-degrade to pickle automatically.
+the oracle); platforms without a usable ``shared_memory``
+implementation degrade to pickle automatically.
 """
 
 from __future__ import annotations

@@ -202,7 +202,9 @@ class TestFluidFaultSweep:
         assert all(0.0 < r.bandwidth <= healthy for r in a)
 
     def test_disconnecting_scenario_degrades_not_raises(self, monkeypatch):
-        """Isolate a vertex: its flows land in a DegradedResult row."""
+        """Isolate a vertex: its flows land in a DegradedResult row,
+        exactly as the per-scenario oracle computes it."""
+        import tests.oracles.scalar_sweeps as oracle
         from repro.experiments import faultstudy as fs
 
         torus = self.GEO.bgq_network()
@@ -210,12 +212,19 @@ class TestFluidFaultSweep:
         incident = [(u, w) for u, w, _ in torus.edges()
                     if u == v or w == v]
         isolating = FaultSet(failed_links=incident)
-        monkeypatch.setattr(
-            fs, "random_link_failures",
-            lambda topo, k, seed=0, edges=None:
-                isolating if k > 0 else FaultSet(),
-        )
+
+        def draw(topo, k, seed=0, edges=None):
+            return isolating if k > 0 else FaultSet()
+
+        monkeypatch.setattr(fs, "random_link_failures", draw)
+        monkeypatch.setattr(oracle, "random_link_failures", draw)
         rows = fs.fluid_fault_sweep(self.GEO, max_failures=1, trials=1)
+        assert rows == [
+            oracle.fault_scenario_row(
+                (self.GEO.dims, k, 0, 1000 * k, 2.0, "parity")
+            )
+            for k in (0, 1)
+        ]
         assert rows[0].degraded is None
         hit = rows[1]
         assert hit.degraded is not None

@@ -11,7 +11,9 @@ from repro.experiments.pairing import (
     fluid_bisection_bandwidth,
     pairing_path_matrix,
     run_pairing,
+    run_pairing_sweep,
 )
+from tests.oracles.scalar_sweeps import pairing_result
 
 # Small geometries keep the fluid simulation fast in unit tests; the
 # benchmark harnesses run the full paper sizes.
@@ -88,8 +90,9 @@ class TestGeometryComparison:
 
 
 class TestVectorScalarParity:
-    """The batch-routed path (default) and the scalar oracle
-    (``REPRO_VECTOR=0``) must produce bit-identical results."""
+    """The block form behind :func:`run_pairing` and the per-pair
+    scalar oracle (``tests/oracles/scalar_sweeps.py``) must produce
+    bit-identical results."""
 
     GEOMETRIES = [
         PartitionGeometry((1, 1, 1, 1)),
@@ -100,11 +103,14 @@ class TestVectorScalarParity:
     @pytest.mark.parametrize(
         "geometry", GEOMETRIES, ids=lambda g: str(g.dims)
     )
-    def test_run_pairing_bit_identical(self, monkeypatch, geometry):
-        vector = run_pairing(geometry)
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        scalar = run_pairing(geometry)
-        assert vector == scalar  # dataclass equality: exact floats
+    def test_run_pairing_bit_identical(self, geometry):
+        assert run_pairing(geometry) == pairing_result(geometry)
+
+    def test_sweep_block_bit_identical(self):
+        params = PairingParameters(rounds=2, tie="positive")
+        assert run_pairing_sweep(self.GEOMETRIES, params) == [
+            pairing_result(g, params) for g in self.GEOMETRIES
+        ]
 
     def test_path_matrix_equals_scalar_routes(self):
         from repro.netsim.network import LinkNetwork

@@ -72,10 +72,7 @@ DRIVER = textwrap.dedent(
     from repro.parallel import register_block_runner
 
     register_block_runner(
-        _fluid_scenario,
-        _fluid_scenario_block,
-        min_block_tasks=2,
-        max_block_tasks=2,
+        _fluid_scenario, _fluid_scenario_block, max_block_tasks=2
     )
     ckpt = None if sys.argv[1] == "-" else sys.argv[1]
     rows = fluid_fault_sweep(
@@ -95,9 +92,6 @@ DRIVER = textwrap.dedent(
 def _run_driver(script, args, cwd, extra_env=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO_SRC)
-    # The triple is about *block* dispatch: pin the vector knob on so
-    # an inherited REPRO_VECTOR=0 cannot change the planned blocking.
-    env["REPRO_VECTOR"] = "1"
     env.pop("REPRO_RESILIENCE_TEST_KILL", None)
     env.pop("REPRO_RESILIENCE_TEST_KILL_MARKER", None)
     if extra_env:
@@ -166,6 +160,23 @@ class TestBlockKillAndResume:
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == clean.stdout
 
+    def test_clean_run_matches_scalar_oracle(self, block_triple):
+        """The block-dispatched rows equal the per-scenario oracle's
+        (``repr`` round-trips floats, so the text compare is exact)."""
+        from repro.kernels.costmodel import LINK_BANDWIDTH_GB_PER_S
+        from tests.oracles.scalar_sweeps import fault_scenario_row
+
+        _, clean, _, _, _ = block_triple
+        tasks = [
+            ((2, 2, 1, 1), k, t, 5 + 1000 * k + t,
+             LINK_BANDWIDTH_GB_PER_S, "parity")
+            for k in range(3)
+            for t in range(1 if k == 0 else 3)
+        ]
+        assert clean.stdout.splitlines() == [
+            str(fault_scenario_row(task)) for task in tasks
+        ]
+
     def test_resumed_run_completed_the_journal(self, block_triple):
         tmp, _, _, _, resumed = block_triple
         assert resumed.returncode == 0
@@ -207,9 +218,7 @@ def pooled_blocks(monkeypatch):
     monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
     for fn, block_fn in ((_square, _square_block),
                          (_array_sum, _array_sum_block)):
-        parallel.register_block_runner(
-            fn, block_fn, min_block_tasks=2, max_block_tasks=2
-        )
+        parallel.register_block_runner(fn, block_fn, max_block_tasks=2)
     yield
     for fn in (_square, _array_sum):
         parallel.unregister_block_runner(fn)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import env
 from repro.netsim.batchroute import (
     PathMatrix,
     batch_dimension_ordered_routes,
     link_layout,
-    vector_enabled,
     vertex_indices,
 )
 from repro.netsim.fairness import max_min_fair_rates
@@ -64,19 +64,58 @@ class TestPathMatrix:
 
 
 class TestVectorEnabled:
+    """No flag knob spelling turns the batch router off or changes it.
+
+    The batch router once had an off switch; these cases keep the guard
+    that it has none. Each sets every registered flag knob (``REPRO_CHECK``
+    among them, which turns on the PathMatrix contract checks) to one
+    spelling and checks that the all-pairs batch routes of a small torus
+    still equal the scalar router's, link for link. How
+    :func:`repro.env.get_flag` reads each spelling is tested in
+    ``tests/test_env.py``.
+    """
+
+    _DIMS = (4, 3)
+
+    @classmethod
+    def _scalar_routes(cls):
+        if not hasattr(cls, "_reference"):
+            t = Torus(cls._DIMS)
+            net = LinkNetwork(t)
+            verts = list(t.vertices())
+            cls._reference = [
+                net.path_to_links(dimension_ordered_route(t, s, d)).tolist()
+                for s in verts
+                for d in verts
+            ]
+        return cls._reference
+
+    def _assert_spelling_keeps_batch_router(self, monkeypatch, raw):
+        for k in env.knobs():
+            if k.kind != "flag":
+                continue
+            if raw is None:
+                monkeypatch.delenv(k.name, raising=False)
+            else:
+                monkeypatch.setenv(k.name, raw)
+        t = Torus(self._DIMS)
+        n = t.num_vertices
+        src = np.repeat(np.arange(n, dtype=np.int64), n)
+        dst = np.tile(np.arange(n, dtype=np.int64), n)
+        pm = batch_dimension_ordered_routes(t, src, dst)
+        assert isinstance(pm, PathMatrix)
+        assert [p.tolist() for p in pm] == self._scalar_routes()
+
     @pytest.mark.parametrize("raw", ["0", "false", "no", "off", "OFF"])
     def test_falsey_disables(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_VECTOR", raw)
-        assert vector_enabled() is False
+        self._assert_spelling_keeps_batch_router(monkeypatch, raw)
 
     @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", ""])
     def test_other_values_enable(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_VECTOR", raw)
-        assert vector_enabled() is True
+        self._assert_spelling_keeps_batch_router(monkeypatch, raw)
 
     def test_unset_enables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
-        assert vector_enabled() is True
+        self._assert_spelling_keeps_batch_router(monkeypatch, None)
 
 
 class TestBatchRouterValidation:

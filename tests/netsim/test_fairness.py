@@ -99,6 +99,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             max_min_fair_rates(_paths([0]), np.array([0.0]))
 
+    def test_rejects_nan_input(self, monkeypatch):
+        # The eager checks, not the REPRO_CHECK contract (which reports
+        # NaN capacities as a ContractError first).
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        paths = _paths([0], [1])
+        with pytest.raises(ValueError, match="non-negative"):
+            max_min_fair_rates(paths, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="demands must be positive"):
+            max_min_fair_rates(
+                paths, np.array([1.0, 1.0]), demands=[np.nan, 1.0]
+            )
+
 
 class TestSymmetricPatterns:
     def test_ring_antipodal_rates_uniform(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,19 @@ class TestValidation:
         net, p01, _ = _net_and_paths()
         with pytest.raises(ValueError):
             FluidSimulation(net, [p01], [0.0])
+
+    def test_rejects_nan_input(self, monkeypatch):
+        # The eager checks, not the REPRO_CHECK contract (which reports
+        # NaN capacities as a ContractError first).
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        net, p01, p12 = _net_and_paths()
+        with pytest.raises(ValueError, match="volumes must be positive"):
+            FluidSimulation(net, [p01, p12], [1.0, np.nan])
+        caps = net.capacities.copy()
+        caps[p12[0]] = np.nan
+        nan_net = types.SimpleNamespace(capacities=caps)
+        with pytest.raises(ValueError, match="non-negative"):
+            FluidSimulation(nan_net, [p01, p12], [1.0, 1.0]).solve()
 
 
 class TestGroupedCompletion:

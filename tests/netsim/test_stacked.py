@@ -273,6 +273,21 @@ class TestStackedFairness:
         with pytest.raises(TypeError):
             stacked_max_min_fair_rates(_pm([0]))
 
+    def test_rejects_nan_input(self, monkeypatch):
+        # The eager checks, not the REPRO_CHECK contract (which rejects
+        # NaN capacities already when the stack is built).
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        nan_caps = StackedPathMatrix.from_scenarios(
+            [(_pm([0], [1]), np.array([1.0, np.nan]), None)]
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            stacked_max_min_fair_rates(nan_caps)
+        stack = StackedPathMatrix.from_scenarios(
+            [(_pm([0], [1]), np.array([1.0, 1.0]), None)]
+        )
+        with pytest.raises(ValueError, match="demands must be positive"):
+            stacked_max_min_fair_rates(stack, np.array([np.nan, 1.0]))
+
     def test_rejects_active_zero_capacity_link(self):
         stack = StackedPathMatrix.from_scenarios(
             [(_pm([0]), np.array([0.0]), None)]
@@ -317,6 +332,13 @@ class TestStackedFluid:
         ).solve()
         assert mk.tolist() == [2.0, 0.5]
         assert comp.tolist() == [2.0, 0.5]
+
+    def test_rejects_nan_volume(self):
+        stack = StackedPathMatrix.from_scenarios(
+            [(_pm([0], [1]), np.array([1.0, 1.0]), None)]
+        )
+        with pytest.raises(ValueError, match="volumes must be positive"):
+            StackedFluidSimulation(stack, np.array([1.0, np.nan]))
 
     def test_inactive_flows_not_simulated(self):
         stack = StackedPathMatrix.from_scenarios(

@@ -8,11 +8,9 @@ suite drives that contract over random tori, random fault sets
 (including fully-disconnecting ones), degenerate single-scenario
 stacks, and reversed dimension orders.
 
-The CI ``stacked-equivalence`` leg runs this file twice — with
-``REPRO_VECTOR=1`` and ``REPRO_VECTOR=0`` — so the vectorized and
-scalar *routing* front-ends are both exercised against the same
-equivalence assertions.  Comparisons use ``tobytes()`` (exact bits),
-never ``allclose``.
+The driver rows are compared against the per-task scalar oracles of
+``tests/oracles/scalar_sweeps.py``.  Comparisons use ``tobytes()``
+(exact bits) or exact float equality, never ``allclose``.
 """
 
 from __future__ import annotations
@@ -305,8 +303,8 @@ class TestStackedFluidEquivalence:
 
 
 class TestDriverRowEquivalence:
-    """The faultstudy block runner against its scalar task function —
-    rows (including DegradedResult payloads) must be equal."""
+    """The faultstudy block form against the per-scenario scalar
+    oracle — rows (including DegradedResult payloads) must be equal."""
 
     @given(
         st.sampled_from([(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)]),
@@ -321,6 +319,7 @@ class TestDriverRowEquivalence:
             _fluid_scenario,
             _fluid_scenario_block,
         )
+        from tests.oracles.scalar_sweeps import fault_scenario_row
 
         geometry = PartitionGeometry(dims)
         tasks = [
@@ -328,6 +327,6 @@ class TestDriverRowEquivalence:
             for k in range(max_k + 1)
             for t in range(1 if k == 0 else trials)
         ]
-        scalar_rows = [_fluid_scenario(t) for t in tasks]
-        block_rows = _fluid_scenario_block(tasks)
-        assert block_rows == scalar_rows
+        scalar_rows = [fault_scenario_row(t) for t in tasks]
+        assert _fluid_scenario_block(tasks) == scalar_rows
+        assert [_fluid_scenario(t) for t in tasks] == scalar_rows

@@ -2,8 +2,8 @@
 
 Prefetching a static communication pattern must (a) make every in-run
 route lookup a cache hit and (b) cache exactly the paths the scalar
-fault-aware router would have derived — on healthy and faulted
-topologies and under ``REPRO_VECTOR=0`` alike.
+fault-aware router (``tests/oracles/scalar_routes.py``) would have
+derived — on healthy and faulted topologies alike.
 """
 
 from __future__ import annotations
@@ -59,17 +59,13 @@ class TestWarmRoutes:
         warm_world.warm_routes(antipodal_pairs(warm_world.size))
         assert warm_world.run(antipodal) == cold
 
-    def test_batch_paths_equal_scalar_paths(self, monkeypatch):
+    def test_batch_paths_equal_scalar_paths(self):
         torus = Torus((4, 3, 2))
         pairs = [(a, b) for a in range(6) for b in range(12, 18)]
-        vec = VirtualMpi(torus)
-        vec.warm_routes(pairs)
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        scal = VirtualMpi(torus)
-        scal.warm_routes(pairs)
-        assert set(vec._route_cache) == set(scal._route_cache)
-        for key, path in vec._route_cache.items():
-            assert path.tolist() == scal._route_cache[key].tolist()
+        world = VirtualMpi(torus)
+        world.warm_routes(pairs)
+        assert set(world._route_cache) == set(pairs)
+        for key, path in world._route_cache.items():
             assert path.tolist() == scalar_links(torus, *key).tolist()
 
     def test_duplicates_and_cached_pairs_skipped(self):
@@ -113,13 +109,16 @@ class TestWarmRoutes:
             != pristine._route_cache[(0, 4)].tolist()
         )
 
-    def test_scalar_env_knob_forces_scalar_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "0")
+    def test_faulted_batch_paths_equal_scalar_paths(self):
         torus = Torus((4, 4))
-        world = VirtualMpi(torus)
+        faults = FaultSet(failed_links=[((0, 0), (0, 1)), ((1, 2), (2, 2))])
+        world = VirtualMpi(torus, faults=faults)
         assert world.warm_routes(antipodal_pairs(world.size)) == 16
+        detours = 0
         for key, path in world._route_cache.items():
-            assert path.tolist() == scalar_links(torus, *key).tolist()
+            assert path.tolist() == scalar_links(torus, *key, faults).tolist()
+            detours += path.tolist() != scalar_links(torus, *key).tolist()
+        assert detours  # the faults force at least one reroute
 
     def test_warmed_counter_emitted(self):
         s = observability.OBS

@@ -10,7 +10,6 @@ ALL_KNOBS = (
     "REPRO_JOBS",
     "REPRO_CACHE_SIZE",
     "REPRO_TRACE",
-    "REPRO_VECTOR",
     "REPRO_SHM",
     "REPRO_CHECK",
     "REPRO_LEDGER_COMPACT",
@@ -57,10 +56,12 @@ class TestRegistry:
 
 
 class TestFlagSemantics:
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off", "FALSE", " Off "])
+    @pytest.mark.parametrize(
+        "raw", ["0", "false", "no", "off", "OFF", "FALSE", " Off "]
+    )
     def test_falsey_values_disable(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", raw)
-        assert env.get_flag("REPRO_VECTOR") is False
+        monkeypatch.setenv("REPRO_SHM", raw)
+        assert env.get_flag("REPRO_SHM") is False
 
     @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "2", "weird"])
     def test_other_values_enable(self, raw, monkeypatch):
@@ -68,18 +69,18 @@ class TestFlagSemantics:
         assert env.get_flag("REPRO_CHECK") is True
 
     def test_unset_takes_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        monkeypatch.delenv("REPRO_SHM", raising=False)
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        assert env.get_flag("REPRO_VECTOR") is True
+        assert env.get_flag("REPRO_SHM") is True
         assert env.get_flag("REPRO_CHECK") is False
 
     @pytest.mark.parametrize("raw", ["", "   "])
     def test_empty_counts_as_unset(self, raw, monkeypatch):
-        # `REPRO_VECTOR= python ...` has always meant "default", for
+        # `REPRO_SHM= python ...` has always meant "default", for
         # an on-by-default knob and an off-by-default knob alike.
-        monkeypatch.setenv("REPRO_VECTOR", raw)
+        monkeypatch.setenv("REPRO_SHM", raw)
         monkeypatch.setenv("REPRO_CHECK", raw)
-        assert env.get_flag("REPRO_VECTOR") is True
+        assert env.get_flag("REPRO_SHM") is True
         assert env.get_flag("REPRO_CHECK") is False
 
     def test_is_falsey_is_truthy_vocabulary(self):

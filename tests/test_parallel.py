@@ -228,19 +228,6 @@ class TestBlockDispatch:
     def test_unregistered_fn_has_no_runner(self):
         assert block_runner_for(square) is None
 
-    def test_vector_knob_disables_dispatch(
-        self, tracked_runner, monkeypatch
-    ):
-        """``REPRO_VECTOR=0`` must force the scalar per-task path —
-        the single escape hatch the differential suite relies on."""
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        assert block_runner_for(tracked_square) is None
-        items = list(range(8))
-        assert sweep_map(tracked_square, items, jobs=1) == [
-            x * x for x in items
-        ]
-        assert _BLOCK_CALLS == []
-
     def test_sweep_routes_through_block_fn(self, tracked_runner):
         items = list(range(8))
         assert sweep_map(tracked_square, items, jobs=1) == [
@@ -249,9 +236,9 @@ class TestBlockDispatch:
         # Small sweep, serial dispatch: one maximal block.
         assert _BLOCK_CALLS == [8]
 
-    def test_below_min_block_tasks_stays_scalar(self, tracked_runner):
+    def test_single_task_sweep_runs_a_block_of_one(self, tracked_runner):
         assert sweep_map(tracked_square, [3], jobs=1) == [9]
-        assert _BLOCK_CALLS == []
+        assert _BLOCK_CALLS == [1]
 
     def test_block_result_count_validated(self):
         register_block_runner(tracked_square, short_block)
@@ -264,13 +251,9 @@ class TestBlockDispatch:
     def test_rejects_bad_block_bounds(self):
         with pytest.raises(ValueError, match="max_block_tasks"):
             register_block_runner(
-                tracked_square, tracked_block,
-                min_block_tasks=8, max_block_tasks=4,
+                tracked_square, tracked_block, max_block_tasks=0
             )
-        with pytest.raises(ValueError):
-            register_block_runner(
-                tracked_square, tracked_block, min_block_tasks=0
-            )
+        assert block_runner_for(tracked_square) is None
 
     def test_small_sweep_never_spawns_a_pool(
         self, tracked_runner, monkeypatch
