@@ -69,6 +69,14 @@ class TestExactSolver:
         # row edges (weight 1 each) x2 vertices = 2.0.
         assert cut == 2.0
 
+    def test_largest_unit_cut(self):
+        """K24's bisection cuts 12 x 12 = 144 edges: every unit-weight cut
+        on at most 28 vertices (at most 28²/4) fits the uint8 table."""
+        g = CliqueProduct((24,))
+        cut, witness = ExactSolver(g).min_perimeter(12)
+        assert cut == 144.0
+        assert witness == set(list(g.vertices())[:12])  # the first mask
+
     def test_uniform_fast_path_flag(self, small_torus):
         assert ExactSolver(small_torus).is_uniform
 
@@ -91,10 +99,14 @@ class TestExactSolver:
 
 
 class TestConjecture:
-    @pytest.mark.parametrize("dims", [(4, 3), (5, 4), (4, 4), (3, 3), (6, 4)])
+    @pytest.mark.parametrize(
+        "dims",
+        [(4, 3), (5, 4), (4, 4), (3, 3), (6, 4), (5, 3), (6, 3), (7, 3), (8, 3)],
+    )
     def test_no_counterexample_on_small_tori(self, dims):
         """The paper conjectures the Theorem 3.1 bound holds for
-        arbitrary subsets; verify no small torus refutes it."""
+        arbitrary subsets; verify no small torus refutes it (every 2-D
+        torus with all dimensions >= 3 and at most 24 vertices)."""
         assert conjecture_counterexample(dims) is None
 
     def test_3d_torus(self):
