@@ -9,15 +9,13 @@ The parallel-sweep bugfix has two halves, and this harness guards both:
   tasks through per-task pickle round-trips by at least 1.5x.  Per-task
   dispatch re-serializes the shared arrays for every task; the block
   transport copies them into a shared segment once per chunk and every
-  worker attaches a view.  The ratio is recorded as
-  ``sweep_shm_speedup`` in BENCH_perf.json, where
-  ``check_perf_regression.py`` guards it as a higher-is-better ratio.
+  worker attaches a view.
 
 * **Crossover.** A sweep at or under the small-sweep cutoff run with
   ``jobs=4`` must cost within 10% (plus absolute slack) of the same
   sweep run serially — the executor must decline the pool instead of
-  reproducing the BENCH-observed ``designsearch_parallel_s`` >
-  ``designsearch_serial_s`` inversion.
+  reproducing the once-measured inversion where ``jobs=4`` design
+  search ran slower than serial.
 
 The transport legs are measured in-process (encode + decode round
 trips) rather than through pool wall-clock, so the comparison is
@@ -32,12 +30,8 @@ Run with::
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import platform
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +39,6 @@ import pytest
 from repro import sharedmem
 from repro.analysis.report import render_table
 from repro.netsim.batchroute import PathMatrix
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 pytestmark = pytest.mark.skipif(
     not sharedmem.shm_supported(),
@@ -66,32 +58,6 @@ JOBS = 4
 SHARED_PATHS = 48_000
 
 REPEATS = 3
-
-
-def _append_perf_record(timings: dict) -> None:
-    """Append one record to the BENCH_perf.json trajectory.
-
-    Same record shape as ``bench_perfbaseline.py`` (``benchmarks/`` is
-    not a package, so the helper is duplicated); the per-key regression
-    guard pairs each metric with its own previous occurrence.
-    """
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "timings": timings,
-    }
-    history: list[dict] = []
-    if BENCH_FILE.exists():
-        try:
-            history = json.loads(BENCH_FILE.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-        if not isinstance(history, list):
-            history = []
-    history.append(record)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _timed(fn):
@@ -137,7 +103,7 @@ def _shm_leg(tasks: list) -> list:
 
 
 def test_shm_transport_speedup(report):
-    """Zero-copy block transport >= 1.5x per-task pickling, guarded."""
+    """Zero-copy block transport >= 1.5x per-task pickling."""
     tasks = _tasks()
     assert len(tasks) >= 64
 
@@ -174,8 +140,6 @@ def test_shm_transport_speedup(report):
         tasks[0][2]._link_ids.nbytes + tasks[0][2]._offsets.nbytes
     ) // 1024
 
-    _append_perf_record({"sweep_shm_speedup": round(speedup, 2)})
-
     report(render_table(
         [
             {
@@ -206,8 +170,7 @@ def test_small_sweep_parallel_matches_serial(report):
     ``design_search(12, ...)`` enumerates 21 candidates — under the
     32-task cutoff — so the executor must run it in-process for any
     ``jobs`` value rather than paying pool startup it cannot amortize
-    (the original ``designsearch_parallel_s > designsearch_serial_s``
-    bug).
+    (the original parallel-slower-than-serial design-search bug).
     """
     from repro.caching import clear_all_caches
     from repro.experiments.designsearch import design_search

@@ -12,20 +12,15 @@ three ways on the same tasks:
 * **oracle per-scenario** — ``tests/oracles/scalar_sweeps.py``, the
   scalar reference the differential suite pins the stacked results to.
 
-It records ``sweep_throughput_scenarios_per_s`` (stacked) and
-``sweep_scalar_scenarios_per_s`` (oracle) in the BENCH_perf.json
-trajectory — ``check_perf_regression.py`` guards both as rates — and
-asserts the acceptance floor: stacked ≥ 5× the per-scenario oracle,
-with bit-identical rows from all three paths.
+It asserts the acceptance floor: stacked ≥ 5× the per-scenario
+oracle, with bit-identical rows from all three paths.  The user-path
+throughput of the same sweep is the ``fault_sweep`` workload of
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from pathlib import Path
 
 from repro.allocation.geometry import PartitionGeometry
 from repro.analysis.report import render_table
@@ -36,40 +31,12 @@ from repro.experiments.faultstudy import (
 )
 from tests.oracles.scalar_sweeps import fault_scenario_row
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
 #: 1 healthy + 2 * 100 fault scenarios = 201 tasks (the acceptance
 #: criterion asks for a >= 200-scenario sweep).
 GEOMETRY = PartitionGeometry((1, 1, 1, 1))
 MAX_FAILURES = 2
 TRIALS = 100
 SEED = 0
-
-
-def _append_perf_record(timings: dict) -> None:
-    """Append one record to the BENCH_perf.json trajectory.
-
-    Same record shape as ``bench_perfbaseline.py`` (``benchmarks/`` is
-    not a package, so the helper is duplicated); the per-key regression
-    guard pairs each metric with its own previous occurrence.
-    """
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "timings": timings,
-    }
-    history: list[dict] = []
-    if BENCH_FILE.exists():
-        try:
-            history = json.loads(BENCH_FILE.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-        if not isinstance(history, list):
-            history = []
-    history.append(record)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _tasks() -> list[tuple]:
@@ -89,7 +56,7 @@ def _tasks() -> list[tuple]:
 
 
 def test_stacked_sweep_throughput(report):
-    """Stacked block dispatch vs the per-scenario paths, guarded in CI."""
+    """Stacked block dispatch vs the per-scenario paths, bit-identical."""
     tasks = _tasks()
     assert len(tasks) >= 200
 
@@ -134,11 +101,6 @@ def test_stacked_sweep_throughput(report):
         f"stacked sweep at {stacked_rate:.1f}/s is below 5x the "
         f"per-scenario oracle at {oracle_rate:.1f}/s"
     )
-
-    _append_perf_record({
-        "sweep_throughput_scenarios_per_s": round(stacked_rate, 2),
-        "sweep_scalar_scenarios_per_s": round(oracle_rate, 2),
-    })
 
     report(render_table(
         [

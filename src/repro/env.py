@@ -197,12 +197,6 @@ register(
     "(repro.contracts).",
 )
 register(
-    "REPRO_LEDGER_COMPACT", "int", 65536,
-    "Minimum retired path entries before the simmpi FlowLedger "
-    "compacts its append-only CSR arena (repro.simmpi.ledger); "
-    "retired entries must also outnumber live ones.",
-)
-register(
     "REPRO_RESILIENCE_TEST_KILL", "str", "",
     "Chaos-test hook: task index at which the sweep executor "
     "(repro.parallel) calls os._exit(43), simulating a worker SIGKILL "

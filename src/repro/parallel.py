@@ -149,11 +149,11 @@ def split_seeds(seed: int, n: int) -> tuple[int, ...]:
 # scalar references the differential suites pin them to.
 
 #: Sweeps at or below this many tasks run serially in-process — pool
-#: startup + pickling costs more than it saves at this size (the
-#: designsearch crossover seam in BENCH_perf.json, where the parallel
-#: sweep ran ~1.7x *slower* than serial).  Applies to every sweep,
-#: checkpointed or not, except one with a task timeout: only a pool
-#: worker can be timed out.
+#: startup + pickling costs more than it saves at this size (forced
+#: through a 2-worker pool, a 21-candidate design search ran ~6x
+#: *slower* than serial; EXPERIMENTS.md, "One perf ledger").  Applies
+#: to every sweep, checkpointed or not, except one with a task
+#: timeout: only a pool worker can be timed out.
 _SMALL_SWEEP_TASKS = 32
 
 #: Scheduler cost model, calibrated coarse on purpose: these only have

@@ -31,19 +31,23 @@ that inherits the retired slot's ``order_key`` (the oracle's
 flow-creation order, which fault reports and restore scans must
 reproduce).  The arena therefore grows monotonically within an event
 window; :meth:`maybe_compact` squeezes retired entries out at owner-
-chosen safe points, gated by the ``REPRO_LEDGER_COMPACT`` knob so
-steady-state runs amortize the rebuild.
+chosen safe points, past a retired-entry floor (:data:`COMPACT_MIN`)
+so steady-state runs amortize the rebuild.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import env, observability
+from .. import observability
 from ..netsim.batchroute import PathMatrix
 from ..netsim.stacked import gather_subset_entries
 
 __all__ = ["FlowLedger"]
+
+#: Default retired-entry floor before :meth:`FlowLedger.maybe_compact`
+#: rebuilds the arena.
+COMPACT_MIN = 65536
 
 
 class FlowLedger:
@@ -59,7 +63,7 @@ class FlowLedger:
         geometrically on demand.
     compact_min:
         Retired-entry floor before :meth:`maybe_compact` rebuilds the
-        arena; ``None`` reads ``REPRO_LEDGER_COMPACT``.
+        arena.
     """
 
     __slots__ = (
@@ -89,7 +93,7 @@ class FlowLedger:
         *,
         slot_capacity: int = 64,
         entry_capacity: int = 1024,
-        compact_min: int | None = None,
+        compact_min: int = COMPACT_MIN,
     ):
         if num_links < 0:
             raise ValueError("num_links must be non-negative")
@@ -111,11 +115,7 @@ class FlowLedger:
         self._live_entries = 0
         self._next_order = 0
         self._view: PathMatrix | None = None
-        self._compact_min = (
-            int(compact_min)
-            if compact_min is not None
-            else env.get_int("REPRO_LEDGER_COMPACT")
-        )
+        self._compact_min = int(compact_min)
         self.compactions = 0
 
     # ------------------------------------------------------------------ #
@@ -329,8 +329,8 @@ class FlowLedger:
     def maybe_compact(self) -> bool:
         """Squeeze retired entries out of the arena when it pays.
 
-        Compacts only when retired entries both exceed the
-        ``REPRO_LEDGER_COMPACT`` floor and outnumber live entries, so
+        Compacts only when retired entries both reach the
+        ``compact_min`` floor and outnumber live entries, so
         the O(live) rebuild is amortized against at least as much
         reclaimed space.  **Slot ids are renumbered** — the owner must
         hold no slot references across a call.

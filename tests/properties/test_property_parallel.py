@@ -11,6 +11,8 @@ any sharing of RNG or cache state between workers.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.allocation.advisor import JobRequest
 from repro.allocation.geometry import PartitionGeometry
 from repro.allocation.policy import juqueen_policy
 from repro.allocation.variability import simulate_job_streams
+from repro.experiments.designsearch import design_search
 from repro.experiments.faultstudy import degraded_bisection_study
 from repro.experiments.pairing import PairingParameters, run_pairing_sweep
 from repro.machines.catalog import JUQUEEN, MIRA
@@ -114,6 +117,44 @@ class TestSweepDeterminism:
         # Dataclass equality covers every float bit-for-bit, including
         # the ranking_stable_fraction column.
         assert parallel == serial
+
+    @pytest.mark.parametrize("driver", ["designsearch", "faultstudy"])
+    def test_pooled_grid_bit_identical(self, monkeypatch, driver):
+        """Grids past the small-sweep cutoff, forced through the pool
+        (the cost model may keep them in-process on a small box)."""
+        import concurrent.futures
+
+        import repro.parallel as parallel
+
+        def grid(jobs):
+            if driver == "designsearch":
+                return design_search(32, JUQUEEN, jobs=jobs)
+            return degraded_bisection_study(
+                MIRA, 16, max_failures=6, trials=12, seed=0, jobs=jobs
+            )
+
+        serial = grid(1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
+        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def spy_pool(*args, **kwargs):
+            executor = real_pool(*args, **kwargs)
+            pools.append(executor)  # only a pool that was really built
+            return executor
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", spy_pool
+        )
+        with warnings.catch_warnings():
+            # A pool that fails and degrades to serial would compare an
+            # in-process run with itself.
+            warnings.filterwarnings("error", "rebuilding worker pool")
+            warnings.filterwarnings("error", ".*degrading to serial")
+            assert grid(4) == serial
+        assert pools, "the sweep never reached the pool"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_traced_parallel_sweep_bit_identical(self, monkeypatch, seed):

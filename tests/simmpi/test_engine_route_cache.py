@@ -52,11 +52,11 @@ class TestPristineCacheReuse:
     def test_second_run_hits_cache_without_events(self, monkeypatch):
         world = VirtualMpi(Torus((4, 4)), link_bandwidth=2.0)
         calls = counting_routes(monkeypatch)
-        world.run(antipodal)
-        first = calls["n"]
-        assert first > 0
-        world.run(antipodal)
-        assert calls["n"] == first  # every route served from the cache
+        first = world.run(antipodal)
+        routed = calls["n"]
+        assert routed > 0
+        assert world.run(antipodal) == first
+        assert calls["n"] == routed  # every route served from the cache
 
     def test_pre_event_routes_hit_cache_with_scheduled_events(
         self, monkeypatch

@@ -185,13 +185,14 @@ class TestCompaction:
         # 1 retired entry vs 4 live: rebuild would not pay.
         assert not led.maybe_compact()
 
-    def test_knob_default_read(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_COMPACT", "3")
-        led = FlowLedger(8)
-        for i in range(4):
-            slot = led.add([i], 1.0, i, i, i + 1)
-            led.deactivate(np.array([slot]))
-        assert led.maybe_compact()
+    def test_default_compact_floor(self):
+        for led, compacts in ((FlowLedger(8), False),
+                              (FlowLedger(8, compact_min=3), True)):
+            for i in range(4):
+                slot = led.add([i], 1.0, i, i, i + 1)
+                led.deactivate(np.array([slot]))
+            # Four retired entries sit far below the default floor.
+            assert led.maybe_compact() is compacts
 
     def test_add_after_compaction(self):
         led = _ledger(compact_min=1)

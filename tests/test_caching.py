@@ -133,6 +133,15 @@ class TestRegistry:
         warm = normalized_bisection_bandwidth((4, 3, 2, 1))
         assert cold == warm == 256 * 24 // 4
 
+        # A warm design search resolves at the topmost memo.
+        from repro.experiments.designsearch import design_search
+        from repro.machines.catalog import JUQUEEN
+
+        cold = design_search(8, JUQUEEN)
+        assert design_search(8, JUQUEEN) == cold
+        extremes = "repro.allocation.optimizer._geometry_extremes"
+        assert cache_stats()[extremes].hits > 0
+
 
 @memoized(maxsize=64)
 def _expensive_identity(x):

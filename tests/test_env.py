@@ -12,7 +12,6 @@ ALL_KNOBS = (
     "REPRO_TRACE",
     "REPRO_SHM",
     "REPRO_CHECK",
-    "REPRO_LEDGER_COMPACT",
     "REPRO_RESILIENCE_TEST_KILL",
     "REPRO_RESILIENCE_TEST_KILL_MARKER",
 )
