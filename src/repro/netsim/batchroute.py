@@ -671,25 +671,95 @@ def _neighbor_table(torus: Torus) -> np.ndarray:
     return out
 
 
+@memoized(maxsize=256, key=lambda torus: torus)
+def _search_tables(torus: Torus) -> tuple[list, list, list]:
+    """Coordinates, neighbor ranks and ``cuts`` as Python lists (memoized):
+    ``cuts[k][t][c]`` lists the slots along dimension ``k`` whose hop out
+    of coordinate ``c`` cuts the ring distance to ``t``.
+    """
+    layout = link_layout(torus)
+    cuts = []
+    for k, a in enumerate(torus.dims):
+        steps = ((int(layout.slot_up[k]), 1), (int(layout.slot_down[k]), -1))
+        rings = [[min((t - c) % a, (c - t) % a) for c in range(a)]
+                 for t in range(a)]
+        cuts.append([
+            [sorted({s for s, d in steps if r[(c + d) % a] < r[c]})
+             for c in range(a)]
+            for r in rings
+        ])
+    return list(torus.vertices()), _neighbor_table(torus).tolist(), cuts
+
+
 def masked_bfs_links(
     torus: Torus, src_rank: int, dst_rank: int, mask: np.ndarray
 ) -> np.ndarray | None:
-    """Vectorized masked BFS: directed link ids of the fallback route.
+    """Link ids of :func:`repro.netsim.routing.bfs_route` around ``mask``.
 
-    Explores the torus level by level with all frontier expansions done
-    as array operations, skipping links where ``mask`` is true (the
-    :func:`fault_link_mask` of the fault set).  Discovery order — and
-    therefore every tie-break — matches the scalar
-    :func:`repro.netsim.routing.bfs_route` over
-    :func:`repro.faults.surviving_topology` exactly: candidates are
-    enumerated in (frontier position × slot) order and
-    ``np.unique(..., return_index=True)`` keeps the *first* occurrence
-    per vertex, which is precisely the scalar loop's ``v not in prev``
-    rule.  Returns the link ids of the BFS path (empty for
-    ``src == dst``), or ``None`` when *dst* is unreachable.
+    ``mask`` is a :func:`fault_link_mask`; the route is empty for
+    ``src == dst`` and ``None`` if *dst* is unreachable.  The caller
+    handles endpoint liveness.  That route is the lexicographically
+    smallest slot sequence among the shortest surviving paths: each BFS
+    level's frontier is sorted by its tree paths' slot sequences, and a
+    vertex's parent is its first ``(frontier position, slot)``.  If a
+    surviving path is as short as the healthy torus distance, the
+    shortest paths are those whose every hop cuts the ring distance to
+    *dst*, and a depth-first search over such hops in slot order finds
+    the route first.  Only if it finds none (a detour or a
+    disconnection) does the level sweep run.
+    """
+    masked = set(np.flatnonzero(mask).tolist())
+    return _reroute_links(torus, src_rank, dst_rank, mask, masked)
 
-    The caller is responsible for endpoint liveness (a down endpoint
-    disconnects the flow before routing is attempted).
+
+def _reroute_links(
+    torus: Torus, src: int, dst: int, mask: np.ndarray, masked: set[int]
+) -> np.ndarray | None:
+    """The :func:`masked_bfs_links` route; ``masked`` holds ``mask``'s ids."""
+    links = _lexmin_shortest_links(torus, src, dst, masked)
+    if links is None:
+        links = _masked_bfs_sweep(torus, src, dst, mask)
+    return links
+
+
+def _lexmin_shortest_links(
+    torus: Torus, src_rank: int, dst_rank: int, masked: set[int]
+) -> np.ndarray | None:
+    """The lex-min surviving path of healthy length, or ``None``."""
+    degree = link_layout(torus).degree
+    coords, nbr, cuts = _search_tables(torus)
+    cut = [cuts[k][t] for k, t in enumerate(coords[dst_rank])]
+
+    def hops(u: int) -> list[tuple[int, int]]:
+        # Reversed, so that pop() takes the smallest slot first.
+        row, base = nbr[u], u * degree
+        return [(base + s, row[s]) for k, c in enumerate(coords[u])
+                for s in cut[k][c] if base + s not in masked][::-1]
+
+    # A vertex that leads nowhere is never re-entered: O(V·degree) hops.
+    dead, path = set(), []
+    stack = [(src_rank, hops(src_rank))]
+    while stack and stack[-1][0] != dst_rank:
+        u, todo = stack[-1]
+        if not todo:
+            dead.add(u)
+            stack.pop()
+            del path[-1:]
+        else:
+            link, v = todo.pop()
+            if v not in dead:
+                path.append(link)
+                stack.append((v, hops(v)))
+    return np.asarray(path, dtype=np.int64) if stack else None
+
+
+def _masked_bfs_sweep(
+    torus: Torus, src_rank: int, dst_rank: int, mask: np.ndarray
+) -> np.ndarray | None:
+    """The :func:`masked_bfs_links` route by a vectorized level sweep.
+
+    Keeping each vertex's first (frontier position, slot) candidate is
+    the scalar loop's ``v not in prev`` rule: the same tie-breaks.
     """
     if src_rank == dst_rank:
         return np.empty(0, dtype=np.int64)
@@ -807,6 +877,7 @@ def batch_fault_aware_routes(
         return pm, none_disconnected
 
     empty = np.empty(0, dtype=np.int64)
+    masked = set(np.flatnonzero(mask).tolist())
     replacements: dict[int, np.ndarray] = {}
     disconnected: list[int] = []
     for i in need.tolist():
@@ -814,7 +885,7 @@ def batch_fault_aware_routes(
             disconnected.append(i)
             replacements[i] = empty
             continue
-        links = masked_bfs_links(torus, int(src[i]), int(dst[i]), mask)
+        links = _reroute_links(torus, int(src[i]), int(dst[i]), mask, masked)
         if links is None:
             disconnected.append(i)
             replacements[i] = empty
@@ -831,32 +902,20 @@ def _splice_paths(
 ) -> PathMatrix:
     """A new :class:`PathMatrix` with some flows' paths replaced.
 
-    Fault sweeps reroute a handful of flows per scenario; rebuilding
-    the whole matrix from per-flow arrays costs O(flows) Python work
-    per scenario.  Splicing copies the untouched flows' CSR entries in
-    one vectorized scatter and writes only the replaced segments
-    individually — identical content to ``PathMatrix.from_paths`` over
-    the patched path list.
+    The untouched CSR slices between the sorted replaced rows are
+    concatenated with the replacements: ``from_paths`` of the patched
+    list, without a per-flow pass.
     """
-    n = len(pm)
-    old_offsets = pm.offsets
-    new_lengths = np.diff(old_offsets)
-    for i, links in replacements.items():
-        new_lengths[i] = len(links)
-    new_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_lengths, out=new_offsets[1:])
-    out = np.empty(new_offsets[-1], dtype=np.int64)
-    changed = np.zeros(n, dtype=bool)
-    changed[list(replacements)] = True
-    fid = pm.flow_ids()
-    keep = ~changed[fid]
-    dest = new_offsets[:-1][fid] + (
-        np.arange(pm.total_links, dtype=np.int64) - old_offsets[:-1][fid]
-    )
-    out[dest[keep]] = pm.link_ids[keep]
-    for i, links in replacements.items():
-        out[new_offsets[i] : new_offsets[i] + len(links)] = links
-    return PathMatrix(out, new_offsets)
+    offsets, lengths = pm.offsets, np.diff(pm.offsets)
+    pieces, prev = [], 0
+    for i in sorted(replacements):
+        lengths[i] = len(replacements[i])
+        pieces += (pm.link_ids[offsets[prev] : offsets[i]], replacements[i])
+        prev = i + 1
+    pieces.append(pm.link_ids[offsets[prev] :])
+    new_offsets = np.zeros(len(pm) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    return PathMatrix(np.concatenate(pieces), new_offsets)
 
 
 def _check_layout_consistency(torus: Torus, num_links: int) -> None:

@@ -304,18 +304,17 @@ def stacked_max_min_fair_rates(
 
     # Scalar parity: a flow crossing a zero-capacity (failed) link must
     # have been rerouted before rates are solved.
-    if np.any(capacities == 0):
-        entry_fid = np.repeat(np.arange(n_flows, dtype=np.int64), lengths)
-        entry_dead = (capacities[entry_links] == 0) & act[entry_fid]
+    dead = capacities == 0
+    if dead.any():
+        entry_dead = dead[entry_links] & np.repeat(act, lengths)
         if entry_dead.any():
-            fid = int(entry_fid[entry_dead].min())
+            first = int(np.argmax(entry_dead))
+            fid = int(np.searchsorted(stack.offsets, first, "right")) - 1
             scen = int(flow_scn[fid])
             local = fid - int(stack.flow_base[scen])
+            links = entry_links[stack.offsets[fid] : stack.offsets[fid + 1]]
             dead_links = sorted(
-                (
-                    entry_links[entry_dead & (entry_fid == fid)]
-                    - stack.link_base[scen]
-                ).tolist()
+                (links[dead[links]] - stack.link_base[scen]).tolist()
             )
             raise ValueError(
                 f"flow {local} of scenario {scen} crosses failed "
@@ -347,22 +346,21 @@ def stacked_max_min_fair_rates(
     # capacity drop, then the saturation threshold.
     work = np.empty(n_links, dtype=float)
     scen_links = np.diff(stack.link_base)
-    # Freeze tests reduce over the entry ranges of the routed flows.
-    routed = ~empty
-    row_starts = stack.offsets[:-1][routed]
-    n_routed = len(row_starts)
+    # The unfrozen flows and their entries, compacted as flows freeze.
+    live = np.flatnonzero(unfrozen)
+    live_lengths = lengths[live]
+    live_links = (
+        entry_links if (act | empty).all()
+        else entry_links[np.repeat(unfrozen, lengths)]
+    )
     # Guard: each round freezes at least one flow per live scenario.
     for _round in range(n_flows + 1):
-        if not unfrozen.any():
+        if not live.size:
             break
         rounds_done += 1
-        all_live = np.count_nonzero(unfrozen) == n_routed
-        entry_live = None if all_live else np.repeat(unfrozen, lengths)
         # np.add.at counts the read-only plane without bincount's copy.
         counts = np.zeros(n_links, dtype=np.int64)
-        np.add.at(
-            counts, entry_links if all_live else entry_links[entry_live], 1
-        )
+        np.add.at(counts, live_links, 1)
         used = counts > 0
         # Per-link headroom ratio; unused links are +inf so the segment
         # minimum sees exactly the scalar solver's cap_rem/counts set.
@@ -382,20 +380,21 @@ def stacked_max_min_fair_rates(
         np.multiply(_EPS, capacities, out=work)
         saturated = used & (cap_rem <= work)
         bottle |= saturated
-        hit_entries = saturated[entry_links]
-        if not all_live:
-            hit_entries &= entry_live
-        hit = np.zeros(n_flows, dtype=bool)
-        hit[routed] = np.logical_or.reduceat(hit_entries, row_starts)
+        row_starts = np.cumsum(live_lengths) - live_lengths
+        hit = np.logical_or.reduceat(saturated[live_links], row_starts)
+        live_fill = fill[flow_scn[live]]
         if caps:
-            hit |= unfrozen & (
-                fill[flow_scn] >= demand_arr - _EPS
-            )
-        hit &= unfrozen
-        rates[hit] = fill[flow_scn][hit]
-        unfrozen &= ~hit
-    if unfrozen.any():  # pragma: no cover - defensive
-        rates[unfrozen] = fill[flow_scn][unfrozen]
+            hit |= live_fill >= demand_arr[live] - _EPS
+        done = live[hit]
+        rates[done] = live_fill[hit]
+        unfrozen[done] = False
+        keep = ~hit
+        if keep.any():
+            live_links = live_links[np.repeat(keep, live_lengths)]
+        live = live[keep]
+        live_lengths = live_lengths[keep]
+    if live.size:  # pragma: no cover - defensive
+        rates[live] = fill[flow_scn[live]]
     if observability.OBS.enabled:
         observability.counter_add("netsim.fairness.stacked_calls")
         observability.counter_add(

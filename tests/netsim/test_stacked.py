@@ -295,6 +295,21 @@ class TestStackedFairness:
         with pytest.raises(ValueError, match="zero-capacity"):
             stacked_max_min_fair_rates(stack)
 
+    def test_names_first_active_flow_on_dead_links(self):
+        # Scenario 1's flow 0 crosses a dead link but is inactive; flow
+        # 1 is the first active one, and its dead links are 0 and 1.
+        stack = StackedPathMatrix.from_scenarios([
+            (_pm([0]), np.array([1.0]), None),
+            (_pm([0], [2, 1, 0], [2]), np.array([0.0, 0.0, 1.0]),
+             np.array([1, 2])),
+        ])
+        with pytest.raises(
+            ValueError,
+            match=r"^flow 1 of scenario 1 crosses failed "
+            r"\(zero-capacity\) link\(s\) \[0, 1\];",
+        ):
+            stacked_max_min_fair_rates(stack)
+
     def test_inactive_flow_may_cross_dead_link(self):
         stack = StackedPathMatrix.from_scenarios(
             [(_pm([0], [1]), np.array([0.0, 2.0]),
