@@ -2,9 +2,11 @@
 
 The stacked rewrite's headline claim: batching a fault sweep's
 scenarios into one :class:`repro.netsim.stacked.StackedPathMatrix` and
-water-filling them in a single numpy pass beats solving them one at a
-time.  This harness times a 201-scenario ``fluid_fault_sweep`` grid
-three ways on the same tasks:
+water-filling them in one solver call beats solving them one at a
+time.  The solver walks each stack in blocks of up to ``1 << 17``
+links, so up to 42 of these 3,072-link scenarios share a block.  This
+harness times a 201-scenario ``fluid_fault_sweep`` grid three ways on
+the same tasks:
 
 * **stacked** — the block-dispatched driver path;
 * **one-scenario blocks** — ``_fluid_scenario`` per task, the block

@@ -518,7 +518,8 @@ def fault_link_mask(torus: Torus, faults) -> np.ndarray:
     Fault entries that are not edges/vertices of *torus* are ignored —
     a link that does not exist cannot be crossed — matching
     ``LinkNetwork.with_faults``, which also only consults the fault set
-    for links the network actually has.
+    for links the network actually has.  Link ids come from
+    :func:`_directed_link_id`.
 
     Fault sets are small (a handful of failures against thousands of
     links), so this is a Python loop over the faults, not over the
@@ -528,49 +529,20 @@ def fault_link_mask(torus: Torus, faults) -> np.ndarray:
     mask = np.zeros(torus.num_vertices * layout.degree, dtype=bool)
     if faults is None or faults.is_empty():
         return mask
-    dims = torus.dims
-    ndim = torus.ndim
-    strides = layout.strides
-
-    def in_torus(v) -> bool:
-        return len(v) == ndim and all(
-            0 <= v[k] < dims[k] for k in range(ndim)
-        )
-
-    def rank_of(v) -> int:
-        return int(
-            sum(int(v[k]) * int(strides[k]) for k in range(ndim))
-        )
-
-    def slot_of(u, v) -> int | None:
-        diff = [k for k in range(ndim) if u[k] != v[k]]
-        if len(diff) != 1:
-            return None
-        k = diff[0]
-        a = dims[k]
-        if (u[k] + 1) % a == v[k]:
-            slot = layout.slot_up[k]
-        elif (v[k] + 1) % a == u[k]:
-            slot = layout.slot_down[k]
-        else:
-            return None
-        return int(slot) if slot >= 0 else None
-
     for u, v in faults.failed_links:
-        if not (in_torus(u) and in_torus(v)):
-            continue
-        slot = slot_of(u, v)
-        if slot is not None:
-            mask[rank_of(u) * layout.degree + slot] = True
+        link = _directed_link_id(torus, u, v)
+        if link is not None:
+            mask[link] = True
     for n in faults.failed_nodes:
-        if not in_torus(n):
+        # Coordinates equal to ints (numpy ints included) name the
+        # vertex, as they do for FaultSet.blocks.
+        node = tuple(int(c) for c in n)
+        if node != tuple(n) or not torus.contains(node):
             continue
-        r = rank_of(n)
-        mask[r * layout.degree : (r + 1) * layout.degree] = True
-        for v, _w in torus.neighbors(n):
-            slot = slot_of(v, n)
-            if slot is not None:
-                mask[rank_of(v) * layout.degree + slot] = True
+        # The node's own out-links, and each neighbor's link into it.
+        for v, _w in torus.neighbors(node):
+            mask[_directed_link_id(torus, node, v)] = True
+            mask[_directed_link_id(torus, v, node)] = True
     return mask
 
 

@@ -34,6 +34,12 @@ __all__ = ["max_min_fair_rates", "stacked_max_min_fair_rates"]
 
 _EPS = 1e-12
 
+#: Link bound of one stacked water-fill block: consecutive scenarios
+#: share a block until the next would take it past this many links, so
+#: a 16-midplane fault scenario (73,728 links) solves alone and its
+#: link planes stay in cache across rounds.
+_BLOCK_LINKS = 1 << 17
+
 
 def max_min_fair_rates(
     paths: PathMatrix | Sequence[np.ndarray],
@@ -234,19 +240,25 @@ def stacked_max_min_fair_rates(
     active: np.ndarray | None = None,
     return_bottlenecks: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Water-fill every scenario of *stack* in one numpy pass.
+    """Water-fill every scenario of *stack*, in cache-sized blocks.
 
-    The stacked generalization of :func:`max_min_fair_rates`: because
-    scenarios occupy disjoint regions of the flat link space, the
-    per-round load-count/saturation/freeze updates of all scenarios are
-    computed by the same elementwise operations the scalar solver uses,
-    and per-scenario increments come from exact segment minima
-    (:func:`~repro.netsim.stacked.segment_min`).  Scenarios at
-    different water-fill depths coexist: a finished scenario's
-    increment is zero, a bit-preserving no-op on its fill and
-    capacities.  The result is **bit-for-bit** what solving every
-    scenario separately produces (the contract of
-    ``tests/properties/test_stacked_equivalence.py``).
+    The stacked generalization of :func:`max_min_fair_rates`.  The
+    stack is walked in blocks of consecutive scenarios: a block grows
+    until the next scenario would take it past ``_BLOCK_LINKS`` links
+    (a scenario larger than that solves alone), and each block runs the
+    water-fill rounds on its own slices of the link planes.  Within a
+    block, because scenarios occupy disjoint regions of the flat link
+    space, the per-round load-count/saturation/freeze updates of all
+    its scenarios are computed by the same elementwise operations the
+    scalar solver uses, and per-scenario increments come from exact
+    segment minima (:func:`~repro.netsim.stacked.segment_min`).
+    Scenarios at different water-fill depths coexist: a finished
+    scenario's increment is zero, a bit-preserving no-op on its fill
+    and capacities.  The result is **bit-for-bit** what solving every
+    scenario separately produces, whatever the block bound (the
+    contract of ``tests/properties/test_stacked_equivalence.py``), and
+    the ``netsim.fairness.rounds`` counter is the deepest scenario's
+    round count.
 
     Parameters
     ----------
@@ -275,7 +287,6 @@ def stacked_max_min_fair_rates(
             f"expected a StackedPathMatrix, got {type(stack).__name__}"
         )
     n_flows = stack.num_flows
-    n_links = stack.num_links
     capacities = stack.capacities
     if contracts.enabled():
         contracts.check_solver_inputs(
@@ -294,36 +305,8 @@ def stacked_max_min_fair_rates(
             )
         act = act & extra
 
-    rates = np.zeros(n_flows, dtype=float)
-    bottle = np.zeros(n_links, dtype=bool)
-    flow_scn = stack.flow_scenarios
-    n_scen = stack.num_scenarios
-
-    lengths = stack.lengths
-    entry_links = stack.link_ids
-
-    # Scalar parity: a flow crossing a zero-capacity (failed) link must
-    # have been rerouted before rates are solved.
-    dead = capacities == 0
-    if dead.any():
-        entry_dead = dead[entry_links] & np.repeat(act, lengths)
-        if entry_dead.any():
-            first = int(np.argmax(entry_dead))
-            fid = int(np.searchsorted(stack.offsets, first, "right")) - 1
-            scen = int(flow_scn[fid])
-            local = fid - int(stack.flow_base[scen])
-            links = entry_links[stack.offsets[fid] : stack.offsets[fid + 1]]
-            dead_links = sorted(
-                (links[dead[links]] - stack.link_base[scen]).tolist()
-            )
-            raise ValueError(
-                f"flow {local} of scenario {scen} crosses failed "
-                f"(zero-capacity) link(s) {dead_links}; "
-                "reroute around faults before solving rates"
-            )
-
-    caps = demands is not None
-    if caps:
+    demand_arr = None
+    if demands is not None:
         demand_arr = np.asarray(demands, dtype=float).ravel()
         if len(demand_arr) != n_flows:
             raise ValueError(
@@ -333,68 +316,27 @@ def stacked_max_min_fair_rates(
         if not np.all(demand_arr > 0):
             raise ValueError("all demands must be positive")
 
+    rates = np.zeros(n_flows, dtype=float)
+    bottle = np.zeros(stack.num_links, dtype=bool)
     # Flows that traverse no link are unconstrained (or demand-capped).
+    lengths = stack.lengths
     empty = lengths == 0
     unfrozen = act & ~empty
     free = act & empty
-    rates[free] = np.inf if not caps else demand_arr[free]
+    rates[free] = np.inf if demand_arr is None else demand_arr[free]
 
-    cap_rem = capacities.copy()
-    fill = np.zeros(n_scen, dtype=float)
+    link_base = stack.link_base
+    n_scen = stack.num_scenarios
     rounds_done = 0
-    # One link-length buffer holds each round's headroom ratio, then its
-    # capacity drop, then the saturation threshold.
-    work = np.empty(n_links, dtype=float)
-    scen_links = np.diff(stack.link_base)
-    # The unfrozen flows and their entries, compacted as flows freeze.
-    live = np.flatnonzero(unfrozen)
-    live_lengths = lengths[live]
-    live_links = (
-        entry_links if (act | empty).all()
-        else entry_links[np.repeat(unfrozen, lengths)]
-    )
-    # Guard: each round freezes at least one flow per live scenario.
-    for _round in range(n_flows + 1):
-        if not live.size:
-            break
-        rounds_done += 1
-        # np.add.at counts the read-only plane without bincount's copy.
-        counts = np.zeros(n_links, dtype=np.int64)
-        np.add.at(counts, live_links, 1)
-        used = counts > 0
-        # Per-link headroom ratio; unused links are +inf so the segment
-        # minimum sees exactly the scalar solver's cap_rem/counts set.
-        work.fill(np.inf)
-        np.divide(cap_rem, counts, out=work, where=used)
-        inc = segment_min(work, stack.link_base)
-        if caps:
-            head = np.where(unfrozen, demand_arr - fill[flow_scn], np.inf)
-            inc = np.minimum(inc, segment_min(head, stack.flow_base))
-        # Scenarios with no unfrozen flows see only +inf: their
-        # increment is zero, so fill += 0.0 and cap_rem - 0 are exact
-        # no-ops and the scenario stays bit-frozen.
-        inc[~np.isfinite(inc)] = 0.0
-        fill += inc
-        np.multiply(counts, np.repeat(inc, scen_links), out=work)
-        np.subtract(cap_rem, work, out=cap_rem)
-        np.multiply(_EPS, capacities, out=work)
-        saturated = used & (cap_rem <= work)
-        bottle |= saturated
-        row_starts = np.cumsum(live_lengths) - live_lengths
-        hit = np.logical_or.reduceat(saturated[live_links], row_starts)
-        live_fill = fill[flow_scn[live]]
-        if caps:
-            hit |= live_fill >= demand_arr[live] - _EPS
-        done = live[hit]
-        rates[done] = live_fill[hit]
-        unfrozen[done] = False
-        keep = ~hit
-        if keep.any():
-            live_links = live_links[np.repeat(keep, live_lengths)]
-        live = live[keep]
-        live_lengths = live_lengths[keep]
-    if live.size:  # pragma: no cover - defensive
-        rates[live] = fill[flow_scn[live]]
+    lo = 0
+    while lo < n_scen:
+        # The block is scenarios lo:hi, the most that fit the bound.
+        limit = link_base[lo] + _BLOCK_LINKS
+        hi = max(lo + 1, int(np.searchsorted(link_base, limit, "right")) - 1)
+        rounds_done = max(rounds_done, _water_fill_block(
+            stack, lo, hi, lengths, unfrozen, demand_arr, rates, bottle
+        ))
+        lo = hi
     if observability.OBS.enabled:
         observability.counter_add("netsim.fairness.stacked_calls")
         observability.counter_add(
@@ -409,3 +351,118 @@ def stacked_max_min_fair_rates(
     if return_bottlenecks:
         return rates, np.flatnonzero(bottle)
     return rates
+
+
+def _water_fill_block(
+    stack: StackedPathMatrix,
+    lo: int,
+    hi: int,
+    lengths: np.ndarray,
+    unfrozen: np.ndarray,
+    demands: np.ndarray | None,
+    rates: np.ndarray,
+    bottle: np.ndarray,
+) -> int:
+    """Water-fill scenarios ``lo:hi`` of *stack*; return the round count.
+
+    Works on block-local link ids, capacities and scenario offsets, and
+    writes the block's rates, bottleneck flags and frozen flows through
+    views of *rates*, *bottle* and *unfrozen*.
+    """
+    link_base = stack.link_base[lo : hi + 1] - stack.link_base[lo]
+    flow_base = stack.flow_base[lo : hi + 1] - stack.flow_base[lo]
+    l0, f0 = int(stack.link_base[lo]), int(stack.flow_base[lo])
+    f1 = f0 + int(flow_base[-1])
+    capacities = stack.capacities[l0 : l0 + int(link_base[-1])]
+    rates = rates[f0:f1]
+    bottle = bottle[l0 : l0 + len(capacities)]
+    unfrozen = unfrozen[f0:f1]
+    lengths = lengths[f0:f1]
+    flow_scn = stack.flow_scenarios[f0:f1] - lo
+    if demands is not None:
+        demands = demands[f0:f1]
+
+    # The unfrozen flows and their block-local entries, compacted as
+    # flows freeze.
+    live = np.flatnonzero(unfrozen)
+    live_lengths = lengths[live]
+    entries = stack.link_ids[stack.offsets[f0] : stack.offsets[f1]]
+    if live_lengths.sum() < len(entries):
+        entries = entries[np.repeat(unfrozen, lengths)]
+    live_links = entries - l0
+    if not capacities.all():
+        # Scalar parity: a flow crossing a zero-capacity (failed) link
+        # must have been rerouted before rates are solved.
+        entry_dead = capacities[live_links] == 0
+        if entry_dead.any():
+            row_ends = np.cumsum(live_lengths)
+            pos = np.searchsorted(row_ends, np.argmax(entry_dead), "right")
+            raise _dead_link_error(stack, f0 + int(live[pos]))
+
+    cap_rem = capacities.copy()
+    threshold = _EPS * capacities
+    fill = np.zeros(hi - lo, dtype=float)
+    # Link loads are counted once; frozen flows' entries are then
+    # subtracted, which keeps the integer counts exact.
+    counts = np.zeros(len(capacities), dtype=np.int64)
+    np.add.at(counts, live_links, 1)
+    # One link-length buffer holds each round's headroom ratio, then its
+    # capacity drop.
+    work = np.empty(len(capacities), dtype=float)
+    scen_links = np.diff(link_base)
+    rounds_done = 0
+    # Guard: each round freezes at least one flow per live scenario.
+    for _round in range(len(live) + 1):
+        if not live.size:
+            break
+        rounds_done += 1
+        used = counts > 0
+        # Per-link headroom ratio; unused links are +inf so the segment
+        # minimum sees exactly the scalar solver's cap_rem/counts set.
+        work.fill(np.inf)
+        np.divide(cap_rem, counts, out=work, where=used)
+        inc = segment_min(work, link_base)
+        if demands is not None:
+            head = np.where(unfrozen, demands - fill[flow_scn], np.inf)
+            inc = np.minimum(inc, segment_min(head, flow_base))
+        # Scenarios with no unfrozen flows see only +inf: their
+        # increment is zero, so fill += 0.0 and cap_rem - 0 are exact
+        # no-ops and the scenario stays bit-frozen.
+        inc[~np.isfinite(inc)] = 0.0
+        fill += inc
+        np.multiply(counts, np.repeat(inc, scen_links), out=work)
+        np.subtract(cap_rem, work, out=cap_rem)
+        saturated = used & (cap_rem <= threshold)
+        bottle |= saturated
+        row_starts = np.cumsum(live_lengths) - live_lengths
+        hit = np.logical_or.reduceat(saturated[live_links], row_starts)
+        live_fill = fill[flow_scn[live]]
+        if demands is not None:
+            hit |= live_fill >= demands[live] - _EPS
+        done = live[hit]
+        rates[done] = live_fill[hit]
+        unfrozen[done] = False
+        keep = ~hit
+        if keep.any():
+            gone = np.repeat(hit, live_lengths)
+            np.subtract.at(counts, live_links[gone], 1)
+            live_links = live_links[~gone]
+        live = live[keep]
+        live_lengths = live_lengths[keep]
+    if live.size:  # pragma: no cover - defensive
+        rates[live] = fill[flow_scn[live]]
+    return rounds_done
+
+
+def _dead_link_error(stack: StackedPathMatrix, fid: int) -> ValueError:
+    """The error for stacked flow *fid* crossing zero-capacity links."""
+    scen = int(stack.flow_scenarios[fid])
+    local = fid - int(stack.flow_base[scen])
+    links = stack.link_ids[stack.offsets[fid] : stack.offsets[fid + 1]]
+    dead = links[stack.capacities[links] == 0]
+    dead_links = sorted((dead - stack.link_base[scen]).tolist())
+    return ValueError(
+        f"flow {local} of scenario {scen} crosses failed "
+        f"(zero-capacity) link(s) {dead_links}; "
+        "reroute around faults before solving rates"
+    )

@@ -1,4 +1,4 @@
-"""Scenario-stacked CSR paths: many simulations in one numpy pass.
+"""Scenario-stacked CSR paths: many simulations in one solver call.
 
 :class:`~repro.netsim.batchroute.PathMatrix` batches all *flows* of one
 scenario; a sweep still solves one (pattern, geometry, fault-set)
@@ -6,9 +6,12 @@ scenario at a time, paying the fixed numpy-call overhead of the
 water-filling loop hundreds of times over.  :class:`StackedPathMatrix`
 removes that axis too: it concatenates the flows of ``S`` scenarios and
 shifts every scenario's link ids into a *disjoint* region of one flat
-link space, so one ``np.bincount`` counts the link loads of every
-scenario simultaneously and one elementwise update advances every
-scenario's water level.
+link space, so one count over the link ids gives the link loads of
+many scenarios at once and one elementwise update advances their water
+levels.  :func:`~repro.netsim.fairness.stacked_max_min_fair_rates`
+walks the stack in blocks of consecutive scenarios of about 10^5 links
+each (a larger scenario solves alone): the disjoint regions make any
+such split exact, and a block's link planes stay in cache.
 
 Layout
 ------

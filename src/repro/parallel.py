@@ -679,7 +679,7 @@ def sweep_map(
     When *fn* has a registered block runner (see
     :func:`register_block_runner`), chunks run through the runner's
     vectorized block function — same results, but hundreds of scenarios
-    advance in one numpy pass.
+    advance in one stacked solver call.
 
     Sweeps of at most ``_SMALL_SWEEP_TASKS`` pending tasks run
     in-process, where pool startup would dominate.  Larger ones run the

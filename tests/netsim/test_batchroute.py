@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro import env
+from repro.faults import FaultSet
 from repro.netsim.batchroute import (
     PathMatrix,
     batch_dimension_ordered_routes,
+    fault_link_mask,
     link_layout,
     vertex_indices,
 )
@@ -208,6 +210,51 @@ class TestVertexIndices:
     def test_empty(self):
         t = Torus((3, 2))
         assert len(vertex_indices(t, [])) == 0
+
+
+class TestFaultLinkMask:
+    """Fault entries that name no link or vertex of the torus cannot
+    block anything: the mask ignores them."""
+
+    torus = Torus((4, 3))
+    ignored = FaultSet(
+        failed_links=[
+            ((0, 0), (2, 0)),  # same ring, not adjacent
+            ((0, 0), (1, 1)),  # differs in two dimensions
+            ((0, 0), (4, 0)),  # endpoint outside the torus
+            ((0, 0), (0, 0, 1)),  # wrong arity
+        ],
+        failed_nodes=[(7, 1), (0, 0, 0), (-1, 0)],
+    )
+
+    def test_entries_outside_the_torus_mark_nothing(self):
+        assert not fault_link_mask(self.torus, self.ignored).any()
+
+    def test_ignored_entries_leave_real_faults_alone(self):
+        real = FaultSet(
+            failed_links=[((0, 0), (1, 0))], failed_nodes=[(2, 2)]
+        )
+        both = FaultSet(
+            failed_links=list(real.failed_links)
+            + list(self.ignored.failed_links),
+            failed_nodes=list(real.failed_nodes)
+            + list(self.ignored.failed_nodes),
+        )
+        net = LinkNetwork(self.torus)
+        want = [
+            real.blocks(*net.link_endpoints(link))
+            for link in range(net.num_links)
+        ]
+        # One cable (two directions) and the node's 4 + 4 links.
+        assert sum(want) == 10
+        assert fault_link_mask(self.torus, both).tolist() == want
+
+    def test_numpy_int_node_counts_like_blocks(self):
+        faults = FaultSet(failed_nodes=[(np.int64(2), np.int64(2))])
+        net = LinkNetwork(self.torus)
+        want = net.with_faults(faults).capacities == 0
+        assert want.sum() == 8
+        assert fault_link_mask(self.torus, faults).tolist() == want.tolist()
 
 
 class TestLayoutMemoized:

@@ -8,9 +8,12 @@ hand-checkable cases.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.netsim import fairness
 from repro.netsim.batchroute import PathMatrix
 from repro.netsim.fairness import (
     max_min_fair_rates,
@@ -310,6 +313,12 @@ class TestStackedFairness:
         ):
             stacked_max_min_fair_rates(stack)
 
+    def test_names_dead_link_flow_in_a_later_block(self, monkeypatch):
+        # A one-link block bound solves the clean scenario 0 first, in a
+        # block of its own; the error still names scenario 1's flow.
+        monkeypatch.setattr(fairness, "_BLOCK_LINKS", 1)
+        self.test_names_first_active_flow_on_dead_links()
+
     def test_inactive_flow_may_cross_dead_link(self):
         stack = StackedPathMatrix.from_scenarios(
             [(_pm([0], [1]), np.array([0.0, 2.0]),
@@ -317,6 +326,45 @@ class TestStackedFairness:
         )
         rates = stacked_max_min_fair_rates(stack)
         assert rates.tolist() == [0.0, 2.0]
+
+
+class TestStackedFairnessMemory:
+    """The water-fill's link planes are block-sized: solving a stack of
+    scenarios that each exceed the block bound allocates temporaries for
+    one scenario at a time, not for the whole stack."""
+
+    @staticmethod
+    def _stack(n_scen, n_links, seed=0):
+        rng = np.random.default_rng(seed)
+        scenarios = []
+        for _ in range(n_scen):
+            paths = [
+                rng.choice(n_links, size=16, replace=False)
+                for _ in range(64)
+            ]
+            caps = rng.uniform(1.0, 2.0, size=n_links)
+            scenarios.append((PathMatrix.from_paths(paths), caps, None))
+        return StackedPathMatrix.from_scenarios(scenarios)
+
+    @staticmethod
+    def _solve_peak(stack):
+        tracemalloc.start()
+        try:
+            stacked_max_min_fair_rates(stack)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_with_one_block_not_the_stack(self):
+        n_links = fairness._BLOCK_LINKS + 1000
+        small, large = self._stack(2, n_links), self._stack(8, n_links)
+        extra_links = large.num_links - small.num_links
+        per_link = (
+            self._solve_peak(large) - self._solve_peak(small)
+        ) / extra_links
+        # A whole-stack float plane would cost 8 bytes per added link;
+        # only the one-byte bottleneck flags span the whole stack.
+        assert per_link < 2.0
 
 
 class TestStackedFluid:

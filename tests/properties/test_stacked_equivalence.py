@@ -1,12 +1,16 @@
 """Differential suite: stacked solvers ≡ per-scenario scalar solvers.
 
 The stacked rewrite's entire correctness contract is that solving ``S``
-scenarios in one numpy pass is **bit-for-bit** the same as solving each
+scenarios in one solver call is **bit-for-bit** the same as solving each
 alone with the scalar solvers — same max-min rates, same bottleneck
 links, same fluid completion times, same DegradedResult rows.  This
 suite drives that contract over random tori, random fault sets
 (including fully-disconnecting ones), degenerate single-scenario
-stacks, and reversed dimension orders.
+stacks, and reversed dimension orders.  The fairness, empty-path and
+fluid cases also run under smaller block bounds of the stacked
+water-fill, so stacks are solved whole, split into blocks, and one
+scenario at a time; the solver's round and flow counters must agree
+across bounds.
 
 The driver rows are compared against the per-task scalar oracles of
 ``tests/oracles/scalar_sweeps.py``.  Comparisons use ``tobytes()``
@@ -17,13 +21,16 @@ from __future__ import annotations
 
 import math
 import types
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability
 from repro.faults import FaultSet
+from repro.netsim import fairness
 from repro.netsim.batchroute import (
     batch_dimension_ordered_routes,
     batch_fault_aware_routes,
@@ -146,6 +153,68 @@ def _solve_pieces(torus, src, dst, faults):
 
 
 scenarios_strategy = st.lists(scenario(), min_size=1, max_size=5)
+
+#: Stacked water-fill block bounds, in links: every scenario alone, a
+#: bound that splits the drawn stacks (a drawn torus has 0 to 288
+#: links), and the default.
+BLOCK_BOUNDS = [1, 64, fairness._BLOCK_LINKS]
+
+
+@pytest.fixture(
+    scope="class", params=BLOCK_BOUNDS[:-1], ids=lambda b: f"block{b}"
+)
+def block_links(request):
+    """Run a class's cases with the water-fill block bound set to each
+    non-default bound (class-scoped, so hypothesis examples share it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairness, "_BLOCK_LINKS", request.param)
+        yield request.param
+
+
+@contextmanager
+def _counters():
+    """Collect observability counters afresh; restore the trace state."""
+    s = observability.OBS
+    saved = (
+        s.enabled, s.events, s.dropped_events, s.stack,
+        s.span_totals, s.counters, s.gauges, s.origin,
+    )
+    s.enabled = False
+    s.reset()
+    observability.enable()
+    try:
+        yield s.counters
+    finally:
+        (
+            s.enabled, s.events, s.dropped_events, s.stack,
+            s.span_totals, s.counters, s.gauges, s.origin,
+        ) = saved
+
+
+def _solve_per_bound(stack, solve, monkeypatch):
+    """``solve(stack)`` under each block bound: the result, the
+    ``netsim.fairness`` round and flow counters and the block count."""
+    real_block = fairness._water_fill_block
+    runs = []
+    for bound in BLOCK_BOUNDS:
+        blocks = []
+
+        def counted(*args):
+            blocks.append(args[1])
+            return real_block(*args)
+
+        monkeypatch.setattr(fairness, "_BLOCK_LINKS", bound)
+        monkeypatch.setattr(fairness, "_water_fill_block", counted)
+        with _counters() as counters:
+            result = solve(stack)
+        runs.append((
+            result,
+            {k: counters.get(k) for k in (
+                "netsim.fairness.rounds", "netsim.fairness.flows"
+            )},
+            len(blocks),
+        ))
+    return runs
 
 
 class TestStackedFairnessEquivalence:
@@ -300,6 +369,65 @@ class TestStackedFluidEquivalence:
             else:
                 assert completions[fs].tobytes() == scomp.tobytes()
                 assert initial[fs].tobytes() == sinit.tobytes()
+
+
+@pytest.mark.usefixtures("block_links")
+class TestBlockedFairnessEquivalence(TestStackedFairnessEquivalence):
+    """The fairness cases, with stacks split into blocks."""
+
+
+@pytest.mark.usefixtures("block_links")
+class TestBlockedEmptyPathInterleaving(TestStackedEmptyPathInterleaving):
+    """The empty-path cases, with stacks split into blocks."""
+
+
+@pytest.mark.usefixtures("block_links")
+class TestBlockedFluidEquivalence(TestStackedFluidEquivalence):
+    """The fluid cases, with stacks split into blocks."""
+
+
+class TestBlockBoundCounters:
+    """The block bound changes how a stack is walked, not what it
+    computes: rates, fluid times and the solver's ``rounds`` (the
+    deepest scenario's) and ``flows`` counters agree under every
+    bound."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_path_interleaving_with_demands(self, seed, monkeypatch):
+        stack = StackedPathMatrix.from_scenarios(
+            TestStackedEmptyPathInterleaving._pieces(seed)
+        )
+        demands = np.random.default_rng(1000 + seed).uniform(
+            0.05, 1.5, size=stack.num_flows
+        )
+        runs = _solve_per_bound(
+            stack,
+            lambda st: stacked_max_min_fair_rates(st, demands).tobytes(),
+            monkeypatch,
+        )
+        # Links per scenario: 60, 120, 0, 12.  The mid bound solves the
+        # first two alone and the last two together.
+        assert [blocks for _, _, blocks in runs] == [4, 3, 1]
+        assert runs[0][1]["netsim.fairness.rounds"] > 1
+        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+
+    @given(scenarios_strategy, st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_stacks_fairness_and_fluid(self, drawn, seed):
+        pieces = [_solve_pieces(*s) for s in drawn]
+        stack = StackedPathMatrix.from_scenarios(pieces)
+        volumes = np.random.default_rng(seed).uniform(
+            0.5, 3.0, size=stack.num_flows
+        )
+
+        def solve(st):
+            rates = stacked_max_min_fair_rates(st)
+            fluid = StackedFluidSimulation(st, volumes).solve()
+            return [rates.tobytes()] + [a.tobytes() for a in fluid]
+
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _solve_per_bound(stack, solve, mp)
+        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
 
 
 class TestDriverRowEquivalence:
