@@ -49,6 +49,7 @@ from ..netsim.network import LinkNetwork
 from ..netsim.stacked import StackedPathMatrix
 from ..parallel import register_block_runner, sweep_map
 from ..topology.torus import Torus
+from .pairing import _antipode_indices
 
 __all__ = [
     "DegradedBisectionRow",
@@ -246,14 +247,8 @@ def _fluid_net_for(dims: tuple[int, ...], link_bandwidth: float) -> tuple:
         torus = PartitionGeometry(dims).bgq_network()
         net = LinkNetwork(torus, link_bandwidth=link_bandwidth)
         edges = [(u, v) for u, v, _ in torus.edges()]
-        n = torus.num_vertices
-        src = np.arange(n, dtype=np.int64)
-        coords = np.stack(np.unravel_index(src, torus.dims), axis=1)
-        d = np.asarray(torus.dims, dtype=np.int64)
-        anti = (coords + d[None, :] // 2) % d[None, :]
-        dst = np.ravel_multi_index(tuple(anti.T), torus.dims).astype(
-            np.int64
-        )
+        src = np.arange(torus.num_vertices, dtype=np.int64)
+        dst = _antipode_indices(torus)
         entry = (torus, net, edges, src, dst)
         _FLUID_CACHE[key] = entry
     return entry

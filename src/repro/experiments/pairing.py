@@ -23,7 +23,9 @@ from .. import observability
 from .._validation import check_positive_float, check_positive_int
 from ..allocation.geometry import PartitionGeometry
 from ..kernels.costmodel import LINK_BANDWIDTH_GB_PER_S
-from ..netsim.batchroute import PathMatrix, batch_dimension_ordered_routes
+from ..netsim.batchroute import (
+    PathMatrix, _route_links, batch_dimension_ordered_routes, link_layout,
+)
 from ..netsim.fairness import max_min_fair_rates
 from ..netsim.fluid import StackedFluidSimulation
 from ..netsim.network import LinkNetwork
@@ -118,13 +120,24 @@ def pairing_path_matrix(torus: Torus, tie: str = "parity") -> PathMatrix:
     routing :func:`repro.netsim.traffic.bisection_pairing` pair by pair,
     link-for-link identical to the scalar router.
     """
-    n = torus.num_vertices
-    src = np.arange(n, dtype=np.int64)
-    coords = np.stack(np.unravel_index(src, torus.dims), axis=1)
-    dims = np.asarray(torus.dims, dtype=np.int64)
-    anti = (coords + dims[None, :] // 2) % dims[None, :]
-    dst = np.ravel_multi_index(tuple(anti.T), torus.dims).astype(np.int64)
-    return batch_dimension_ordered_routes(torus, src, dst, tie=tie)
+    src = np.arange(torus.num_vertices, dtype=np.int64)
+    return batch_dimension_ordered_routes(
+        torus, src, _antipode_indices(torus), tie=tie
+    )
+
+
+def _antipode_indices(torus: Torus) -> np.ndarray:
+    """Every vertex's antipode rank, one dimension at a time: each moves
+    a rank ``a // 2`` strides on, ``a`` strides back where it wraps."""
+    ranks = np.arange(torus.num_vertices, dtype=np.int64)
+    dst = ranks.copy()
+    stride = torus.num_vertices
+    for a in torus.dims:
+        stride //= a
+        half = a // 2
+        dst += half * stride
+        dst -= (ranks // stride % a >= a - half) * (a * stride)
+    return dst
 
 
 def fluid_bisection_bandwidth(
@@ -190,15 +203,7 @@ def _pairing_block(
     all of them together.  This is the only driver path: a single
     geometry is a block of one.
     """
-    scenarios = []
-    for geometry, params in tasks:
-        torus = geometry.bgq_network()
-        net = LinkNetwork(torus, link_bandwidth=params.link_bandwidth)
-        pm = pairing_path_matrix(torus, tie=params.tie)
-        scenarios.append((pm, net.capacities, None))
-    stack = StackedPathMatrix.from_scenarios(scenarios)
-    # The stack holds its own copy of every path.
-    del scenarios, pm
+    stack = _pairing_stack(tasks)
     flat_volumes = np.repeat(
         [params.volume_per_pair_gb for _, params in tasks],
         np.diff(stack.flow_base),
@@ -224,6 +229,37 @@ def _pairing_block(
             "pairing.gb", float(flat_volumes.sum())
         )
     return results
+
+
+def _pairing_stack(
+    tasks: list[tuple[PartitionGeometry, PairingParameters]],
+) -> StackedPathMatrix:
+    """The :meth:`StackedPathMatrix.from_scenarios` stack of the block's
+    :func:`pairing_path_matrix` routes, built without a second copy: an
+    antipodal route is ``torus.diameter`` hops, so the planes are sized
+    first and each geometry routes straight into its span of them."""
+    tori = [geometry.bgq_network() for geometry, _ in tasks]
+    flow_base = np.cumsum([0] + [t.num_vertices for t in tori])
+    entry_base = np.cumsum([0] + [t.num_vertices * t.diameter for t in tori])
+    link_base = np.cumsum(
+        [0] + [t.num_vertices * link_layout(t).degree for t in tori]
+    )
+    link_ids = np.empty(entry_base[-1], dtype=np.int64)
+    offsets = np.zeros(flow_base[-1] + 1, dtype=np.int64)
+    capacities = np.empty(link_base[-1], dtype=float)
+    for s, (torus, (_, params)) in enumerate(zip(tori, tasks)):
+        e0, e1 = entry_base[s], entry_base[s + 1]
+        _, local = _route_links(
+            torus, np.arange(torus.num_vertices), _antipode_indices(torus),
+            tie=params.tie, out=link_ids[e0:e1], base=int(link_base[s]),
+        )
+        offsets[flow_base[s] + 1 : flow_base[s + 1] + 1] = local[1:] + e0
+        capacities[link_base[s] : link_base[s + 1]] = LinkNetwork(
+            torus, link_bandwidth=params.link_bandwidth
+        ).capacities
+    return StackedPathMatrix(
+        link_ids, offsets, flow_base, link_base, capacities
+    )
 
 
 register_block_runner(_pairing_task, _pairing_block, max_block_tasks=64)

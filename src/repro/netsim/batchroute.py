@@ -410,18 +410,28 @@ def batch_dimension_ordered_routes(
         dst_i, dim_order, tie))`` for a ``LinkNetwork`` over *torus*,
         link id for link id.
     """
-    check_tie(tie)
-    layout = link_layout(torus)
-    dims_arr = np.asarray(torus.dims, dtype=np.int64)
-    ndim = torus.ndim
-    n_nodes = torus.num_vertices
+    return PathMatrix(*_route_links(torus, src, dst, dim_order, tie))
 
+
+def _route_links(
+    torus: Torus,
+    src: np.ndarray,
+    dst: np.ndarray,
+    dim_order: Sequence[int] | None = None,
+    tie: str = "parity",
+    out: np.ndarray | None = None,
+    base: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_dimension_ordered_routes`' ``(link_ids, offsets)``,
+    each id plus *base*; the ids go straight into *out* if given, which
+    they must fill exactly (a stack builder passes each scenario's span).
+    """
+    check_tie(tie)
+    n_nodes = torus.num_vertices
     src = np.ascontiguousarray(src, dtype=np.int64).ravel()
     dst = np.ascontiguousarray(dst, dtype=np.int64).ravel()
     if len(src) != len(dst):
-        raise ValueError(
-            f"{len(src)} sources but {len(dst)} destinations"
-        )
+        raise ValueError(f"{len(src)} sources but {len(dst)} destinations")
     for name, arr in (("src", src), ("dst", dst)):
         if arr.size and (arr.min() < 0 or arr.max() >= n_nodes):
             raise ValueError(
@@ -429,81 +439,98 @@ def batch_dimension_ordered_routes(
                 f"for {torus.name}"
             )
     if dim_order is None:
-        order = np.arange(ndim, dtype=np.int64)
+        order = list(range(torus.ndim))
     else:
-        order = np.asarray(list(dim_order), dtype=np.int64)
-        if sorted(order.tolist()) != list(range(ndim)):
+        order = [int(k) for k in dim_order]
+        if sorted(order) != list(range(torus.ndim)):
             raise ValueError(
-                f"dim_order must be a permutation of 0..{ndim - 1}, "
+                f"dim_order must be a permutation of 0..{torus.ndim - 1}, "
                 f"got {tuple(dim_order)}"
             )
-    n_flows = len(src)
-    if n_flows == 0:
-        return PathMatrix(
-            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        )
+    # Length-1 dimensions never move a route.
+    live = [k for k in order if torus.dims[k] > 1]
+    planes, lengths, flow_last = _segment_planes(torus, src, dst, live, tie)
+    offsets = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    total = int(offsets[-1])
+    if out is None:
+        out = np.empty(total, dtype=np.int64)
+    elif len(out) != total:
+        raise ValueError(f"{total} routed links for a span of {len(out)}")
+    if total == 0:
+        return out, offsets
 
-    # Coordinates, per-dimension hop counts, and step directions — all
-    # (n_flows, ndim) arrays.
-    src_c = np.stack(np.unravel_index(src, torus.dims), axis=1).astype(
-        np.int64
-    )
-    dst_c = np.stack(np.unravel_index(dst, torus.dims), axis=1).astype(
-        np.int64
-    )
-    a = dims_arr[None, :]
-    up = (dst_c - src_c) % a
-    down = (src_c - dst_c) % a
-    hops = np.minimum(up, down)
-    step = np.where(up < down, 1, -1).astype(np.int64)
-    tied = up == down  # includes hops == 0; step unused there
-    if tie == "positive":
-        step[tied] = 1
-    else:  # parity: + from even source coordinates, − from odd
-        step[tied] = np.where(src_c[tied] % 2 == 0, 1, -1)
-
-    # Permute into emission (dimension-correction) order.
-    src_o = src_c[:, order]
-    hops_o = hops[:, order]
-    step_o = step[:, order]
-    offsets = np.zeros(n_flows + 1, dtype=np.int64)
-    np.cumsum(hops_o.sum(axis=1), out=offsets[1:])
-    if offsets[-1] == 0:
-        return PathMatrix(np.empty(0, dtype=np.int64), offsets)
-
-    # Vertex rank where each (flow, dimension) segment starts: the
-    # source rank plus the moves of the dimensions corrected before it.
-    move = (dst_c[:, order] - src_o) * layout.strides[order]
-    start = np.cumsum(move, axis=1) - move + src[:, None]
-
-    # Compact to the live segments (hops > 0), in emission order.
-    seg = np.flatnonzero(hops_o)
-    k = order[seg % ndim]
-    seg_len = hops_o.ravel()[seg]
-    s = step_o.ravel()[seg]
-    c0 = src_o.ravel()[seg]
-    a = dims_arr[k]
-    # Per-hop link-id delta, first link, and the hop that wraps the ring
-    # (a segment is shorter than its ring, so it wraps at most once).
-    # Length-2 dimensions have one hop and one merged slot.
-    delta = s * layout.strides[k] * layout.degree
-    first = start.ravel()[seg] * layout.degree + np.where(
-        s > 0, layout.slot_up[k], layout.slot_down[k]
-    )
-    wrap = np.where(s > 0, a - c0, c0 + 1)
+    planes = planes.reshape(5, -1)
+    if not planes[0].all():
+        # Compact to the live segments (hops > 0), in emission order.
+        planes = planes[:, np.flatnonzero(planes[0])]
+    seg_len, delta, jump, wrap, close = planes
+    # Running sum, in place: spread each segment's per-hop delta (a
+    # running sum of the delta changes at the segment starts), then
+    # overwrite each segment start with its jump and each wrap hop with
+    # its ring-closing step.  A flow's first jump, taken from 0, also
+    # drops the previous flow's last link; the very first adds *base*.
+    seg_start = np.cumsum(seg_len)
+    seg_start -= seg_len
+    out.fill(0)
+    out[0] = delta[0]
+    out[seg_start[1:]] = delta[1:] - delta[:-1]
+    np.cumsum(out, out=out)
+    out[seg_start] = jump
+    routed = np.flatnonzero(lengths)
+    out[offsets[routed[1:]]] -= flow_last[routed[:-1]]
+    out[0] += base
     wraps = wrap < seg_len
-    last = first + delta * (seg_len - 1) - np.where(wraps, delta * a, 0)
+    wrap += seg_start
+    out[wrap[wraps]] = close[wraps]
+    np.cumsum(out, out=out)
+    return out, offsets
 
-    # Running sum: repeat the per-hop delta, then overwrite each segment
-    # start with the jump from the previous segment's last link and each
-    # wrap hop with its ring-closing step.
-    seg_start = np.cumsum(seg_len) - seg_len
-    link_ids = np.repeat(delta, seg_len)
-    first[1:] -= last[:-1]
-    link_ids[seg_start] = first
-    link_ids[(seg_start + wrap)[wraps]] = (delta * (1 - a))[wraps]
-    np.cumsum(link_ids, out=link_ids)
-    return PathMatrix(link_ids, offsets)
+
+def _segment_planes(
+    torus: Torus, src: np.ndarray, dst: np.ndarray, live: list[int], tie: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment planes, route lengths and last links (0 if none) of flows.
+
+    The ``(5, flows, len(live))`` planes hold, one column per live
+    dimension in emission order, each segment's hop count, per-hop
+    link-id delta, jump from the flow's previous link (0 before its
+    first) to its first, the hop that wraps the ring (a segment is
+    shorter than its ring, so it wraps at most once) and that hop's
+    ring-closing step.  Length-2 dimensions have one merged slot.
+    """
+    layout, dims, n_flows = link_layout(torus), torus.dims, len(src)
+    planes = np.empty((5, n_flows, len(live)), dtype=np.int64)
+    hops, delta, jump, wrap, close = planes
+    # The vertex rank each segment starts from, and each flow's last link.
+    start = src.copy()
+    flow_last = np.zeros(n_flows, dtype=np.int64)
+    lengths = np.zeros(n_flows, dtype=np.int64)
+    for j, k in enumerate(live):
+        a, stride = dims[k], int(layout.strides[k])
+        s = src // stride % a
+        move = dst // stride % a - s
+        up = move % a
+        down = a - up
+        h = np.minimum(up, down, out=hops[:, j])
+        lengths += h
+        pos = up < down
+        if tie == "positive":
+            pos |= up == down
+        else:  # parity: + from even source coordinates, − from odd
+            pos |= (up == down) & (s % 2 == 0)
+        dl = np.where(pos, stride * layout.degree, -stride * layout.degree)
+        delta[:, j] = dl
+        f = np.where(pos, layout.slot_up[k], layout.slot_down[k])
+        f += start * layout.degree
+        np.subtract(f, flow_last, out=jump[:, j])
+        w = np.where(pos, a - s, s + 1)
+        wrap[:, j] = w
+        np.multiply(dl, 1 - a, out=close[:, j])
+        f += dl * (h - 1 - a * (w < h))  # the segment's last link
+        np.copyto(flow_last, f, where=h > 0)
+        start += move * stride
+    return planes, lengths, flow_last
 
 
 def fault_link_mask(torus: Torus, faults) -> np.ndarray:
@@ -888,26 +915,3 @@ def _splice_paths(
     new_offsets = np.zeros(len(pm) + 1, dtype=np.int64)
     np.cumsum(lengths, out=new_offsets[1:])
     return PathMatrix(np.concatenate(pieces), new_offsets)
-
-
-def _check_layout_consistency(torus: Torus, num_links: int) -> None:
-    """Assert a ``LinkNetwork`` link count matches the analytic layout.
-
-    Cheap O(1) guard used by callers that pair a batch-routed
-    :class:`PathMatrix` with an independently built ``LinkNetwork``.
-    """
-    expected = torus.num_vertices * link_layout(torus).degree
-    if num_links != expected:
-        raise ValueError(
-            f"LinkNetwork has {num_links} links but the analytic layout "
-            f"of {torus.name} expects {expected}"
-        )
-
-
-def total_route_hops(torus: Torus) -> int:
-    """Total hop count of the full bisection pairing on *torus*.
-
-    Convenience for sizing benchmarks: every vertex to its antipode is
-    ``sum(a_k // 2)`` hops, times ``|V|`` flows.
-    """
-    return torus.num_vertices * sum(a // 2 for a in torus.dims)

@@ -120,7 +120,7 @@ def max_min_fair_rates(
             )
     n_act = len(act)
     rates = np.zeros(n_act, dtype=float)
-    bottle = np.zeros(n_links, dtype=bool)
+    bottle = np.zeros(n_links, dtype=bool) if return_bottlenecks else None
     if n_act == 0:
         if return_bottlenecks:
             return rates, np.flatnonzero(bottle)
@@ -317,7 +317,7 @@ def stacked_max_min_fair_rates(
             raise ValueError("all demands must be positive")
 
     rates = np.zeros(n_flows, dtype=float)
-    bottle = np.zeros(stack.num_links, dtype=bool)
+    bottle = np.zeros(stack.num_links, bool) if return_bottlenecks else None
     # Flows that traverse no link are unconstrained (or demand-capped).
     lengths = stack.lengths
     empty = lengths == 0
@@ -361,13 +361,13 @@ def _water_fill_block(
     unfrozen: np.ndarray,
     demands: np.ndarray | None,
     rates: np.ndarray,
-    bottle: np.ndarray,
+    bottle: np.ndarray | None,
 ) -> int:
     """Water-fill scenarios ``lo:hi`` of *stack*; return the round count.
 
     Works on block-local link ids, capacities and scenario offsets, and
-    writes the block's rates, bottleneck flags and frozen flows through
-    views of *rates*, *bottle* and *unfrozen*.
+    writes the block's rates, bottleneck flags (if asked) and frozen
+    flows through views of *rates*, *bottle* and *unfrozen*.
     """
     link_base = stack.link_base[lo : hi + 1] - stack.link_base[lo]
     flow_base = stack.flow_base[lo : hi + 1] - stack.flow_base[lo]
@@ -375,7 +375,8 @@ def _water_fill_block(
     f1 = f0 + int(flow_base[-1])
     capacities = stack.capacities[l0 : l0 + int(link_base[-1])]
     rates = rates[f0:f1]
-    bottle = bottle[l0 : l0 + len(capacities)]
+    if bottle is not None:
+        bottle = bottle[l0 : l0 + len(capacities)]
     unfrozen = unfrozen[f0:f1]
     lengths = lengths[f0:f1]
     flow_scn = stack.flow_scenarios[f0:f1] - lo
@@ -433,7 +434,8 @@ def _water_fill_block(
         np.multiply(counts, np.repeat(inc, scen_links), out=work)
         np.subtract(cap_rem, work, out=cap_rem)
         saturated = used & (cap_rem <= threshold)
-        bottle |= saturated
+        if bottle is not None:
+            bottle |= saturated
         row_starts = np.cumsum(live_lengths) - live_lengths
         hit = np.logical_or.reduceat(saturated[live_links], row_starts)
         live_fill = fill[flow_scn[live]]

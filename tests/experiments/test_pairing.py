@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from repro.allocation import optimizer
 from repro.allocation.geometry import PartitionGeometry
+from repro.experiments import pairing
 from repro.experiments.pairing import (
     PairingParameters,
     PairingResult,
@@ -13,6 +18,9 @@ from repro.experiments.pairing import (
     run_pairing,
     run_pairing_sweep,
 )
+from repro.machines.catalog import JUQUEEN
+from repro.netsim.network import LinkNetwork
+from repro.netsim.stacked import StackedPathMatrix
 from tests.oracles.scalar_sweeps import pairing_result
 
 # Small geometries keep the fluid simulation fast in unit tests; the
@@ -128,6 +136,59 @@ class TestVectorScalarParity:
         assert len(pm) == len(scalar)
         for got, want in zip(pm, scalar):
             assert got.tolist() == want.tolist()
+
+
+class TestPairingStack:
+    """The block's stack is routed in place: each geometry's paths and
+    capacities are written once, into their spans of the stack planes."""
+
+    # JUQUEEN's best and worst geometries at 4 to 8 midplanes, as in a
+    # slice of Figure 4; none holds more than a fifth of the stack.
+    HANDFUL = list(dict.fromkeys(
+        pick(JUQUEEN, size)
+        for size in range(4, 9)
+        for pick in (optimizer.best_geometry_for_machine,
+                     optimizer.worst_geometry_for_machine)
+    ))
+
+    def test_equals_from_scenarios(self):
+        tasks = [
+            (PartitionGeometry((2, 2, 1, 1)), FAST),
+            (PartitionGeometry((1, 1, 1, 1)),
+             PairingParameters(tie="positive", link_bandwidth=1.5)),
+            (PartitionGeometry((3, 1, 1, 1)), FAST),
+            (PartitionGeometry((2, 2, 2, 1)), FAST),
+        ]
+        got = pairing._pairing_stack(tasks)
+        want = StackedPathMatrix.from_scenarios([
+            (
+                pairing_path_matrix(g.bgq_network(), tie=p.tie),
+                LinkNetwork(
+                    g.bgq_network(), link_bandwidth=p.link_bandwidth
+                ).capacities,
+                None,
+            )
+            for g, p in tasks
+        ])
+        for plane in ("link_ids", "offsets", "flow_base", "link_base",
+                      "capacities", "active", "flow_scenarios"):
+            np.testing.assert_array_equal(
+                getattr(got, plane), getattr(want, plane), err_msg=plane
+            )
+
+    def test_build_peak_below_one_and_a_half_stacks(self):
+        tasks = [(g, FAST) for g in self.HANDFUL]
+        assert len(tasks) >= 5
+        pairing._pairing_stack(tasks)  # warm the per-torus memo tables
+        tracemalloc.start()
+        try:
+            stack = pairing._pairing_stack(tasks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A second copy of the paths and capacities alone would reach 2x;
+        # each geometry's routing temporaries live only while it routes.
+        assert peak < 1.5 * (stack.link_ids.nbytes + stack.capacities.nbytes)
 
 
 class TestFluidBisectionBandwidth:

@@ -1,9 +1,11 @@
 """Per-pair scalar route oracle.
 
 Routes one (src, dst) node pair at a time with
-:func:`repro.netsim.routing.fault_aware_route` and turns the vertex
-route into directed link ids with ``LinkNetwork.path_to_links``.  The
-batch routers the simmpi engine uses must cache exactly these links.
+:func:`repro.netsim.routing.fault_aware_route` (or, for an explicit
+dimension order, :func:`~repro.netsim.routing.dimension_ordered_route`)
+and turns the vertex route into directed link ids with
+``LinkNetwork.path_to_links``.  The batch routers must produce exactly
+these links.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netsim.network import LinkNetwork
-from repro.netsim.routing import fault_aware_route
+from repro.netsim.routing import dimension_ordered_route, fault_aware_route
 from repro.topology.torus import Torus
 
 
@@ -27,3 +29,18 @@ def scalar_links(
     return LinkNetwork(torus).path_to_links(
         fault_aware_route(torus, verts[src], verts[dst], faults, tie=tie)
     )
+
+
+def scalar_ordered_links(
+    torus: Torus, src, dst, dim_order=None, tie: str = "parity"
+) -> list[list[int]]:
+    """Per-flow link ids of the dimension-ordered routes ``src[i] ->
+    dst[i]`` (node indices), correcting dimensions in *dim_order*."""
+    verts = list(torus.vertices())
+    net = LinkNetwork(torus)
+    return [
+        net.path_to_links(dimension_ordered_route(
+            torus, verts[s], verts[d], dim_order, tie
+        )).tolist()
+        for s, d in zip(src, dst)
+    ]
