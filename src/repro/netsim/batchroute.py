@@ -644,6 +644,11 @@ def fault_capacity_plane(
     return caps
 
 
+#: Dead ends after which the reroute search gives up and the level
+#: sweep runs instead: about one sweep's cost on the 8×8×8×8×2 torus.
+_DEAD_END_BUDGET = 512
+
+
 @memoized(maxsize=256, key=lambda torus: torus)
 def _neighbor_table(torus: Torus) -> np.ndarray:
     """``(num_vertices, degree)`` neighbor ranks in slot order (memoized).
@@ -705,7 +710,8 @@ def masked_bfs_links(
     shortest paths are those whose every hop cuts the ring distance to
     *dst*, and a depth-first search over such hops in slot order finds
     the route first.  Only if it finds none (a detour or a
-    disconnection) does the level sweep run.
+    disconnection), or gives up after ``_DEAD_END_BUDGET`` dead ends,
+    does the level sweep run.
     """
     masked = set(np.flatnonzero(mask).tolist())
     return _reroute_links(torus, src_rank, dst_rank, mask, masked)
@@ -724,7 +730,8 @@ def _reroute_links(
 def _lexmin_shortest_links(
     torus: Torus, src_rank: int, dst_rank: int, masked: set[int]
 ) -> np.ndarray | None:
-    """The lex-min surviving path of healthy length, or ``None``."""
+    """The lex-min surviving path of healthy length, or ``None`` (none,
+    or none found within the dead-end budget)."""
     degree = link_layout(torus).degree
     coords, nbr, cuts = _search_tables(torus)
     cut = [cuts[k][t] for k, t in enumerate(coords[dst_rank])]
@@ -735,12 +742,15 @@ def _lexmin_shortest_links(
         return [(base + s, row[s]) for k, c in enumerate(coords[u])
                 for s in cut[k][c] if base + s not in masked][::-1]
 
-    # A vertex that leads nowhere is never re-entered: O(V·degree) hops.
+    # A vertex that leads nowhere is never re-entered: O(V·degree) hops,
+    # and at most _DEAD_END_BUDGET dead ends before the sweep takes over.
     dead, path = set(), []
     stack = [(src_rank, hops(src_rank))]
     while stack and stack[-1][0] != dst_rank:
         u, todo = stack[-1]
         if not todo:
+            if len(dead) == _DEAD_END_BUDGET:
+                return None
             dead.add(u)
             stack.pop()
             del path[-1:]

@@ -11,9 +11,7 @@ The implementation is fully vectorized and operates natively on the
 CSR :class:`~repro.netsim.batchroute.PathMatrix`: per-link active-flow
 counts are ``np.bincount`` over the flat link-id array, and the
 per-round freeze test is a second bincount over the flow-id companion
-array — no per-flow Python loop anywhere.  A caller that already
-tracks the per-link counts (the simmpi ledger) passes them in, and the
-first round runs without gathering the CSR at all.  The historical
+array — no per-flow Python loop anywhere.  The historical
 ``Sequence[np.ndarray]`` input shape is accepted through a thin
 :meth:`PathMatrix.from_paths` adapter, and produces identical floats:
 the round structure (counts, increments, fill levels) is unchanged, so
@@ -47,9 +45,7 @@ def max_min_fair_rates(
     demands: Sequence[float] | None = None,
     *,
     active: np.ndarray | None = None,
-    link_counts: np.ndarray | None = None,
     return_bottlenecks: bool = False,
-    validate: bool = True,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Max-min fair rates for flows with the given link paths.
 
@@ -62,13 +58,6 @@ def max_min_fair_rates(
         (source == destination) gets rate ``inf``.
     capacities:
         Per-link capacity array.
-    validate:
-        When false, skip the O(links) capacity sign scan and the
-        crossed-failed-link check.  For per-event callers (the simmpi
-        vector engine) that re-solve over an unchanged, known-good
-        capacity plane and guarantee by construction that no active
-        flow crosses a zero-capacity link; the checks never alter the
-        rates, so results are unchanged.
     demands:
         Optional per-flow rate caps (e.g. injection bandwidth limits); a
         flow freezes at its demand if the network would allow more.
@@ -79,14 +68,6 @@ def max_min_fair_rates(
         treated as absent (no link usage).  The fluid engine uses this
         to re-solve shrinking flow sets without re-slicing the
         :class:`PathMatrix`.  Default: all flows.
-    link_counts:
-        Optional per-link count of the solved flows' entries (what
-        ``np.bincount`` over their paths gives), kept up to date by the
-        caller — the simmpi engine passes its ledger's load plane.  The
-        first round then needs no CSR gather, and when it saturates
-        every used link (every flow frozen) the solve never gathers;
-        otherwise the entries are gathered before the second round.
-        Rates are bit-identical either way.
     return_bottlenecks:
         When true, additionally return the sorted int64 ids of the
         *bottleneck links* — links that saturated while still carrying
@@ -105,7 +86,7 @@ def max_min_fair_rates(
     capacities = np.asarray(capacities, dtype=float)
     if contracts.enabled():
         contracts.check_solver_inputs("max_min_fair_rates", capacities)
-    if validate and not np.all(capacities >= 0):
+    if not np.all(capacities >= 0):
         raise ValueError("link capacities must be non-negative")
     n_total = len(pm)
     n_links = len(capacities)
@@ -126,23 +107,11 @@ def max_min_fair_rates(
             return rates, np.flatnonzero(bottle)
         return rates
 
-    # CSR compaction: gather the active flows' link entries once — or,
-    # given the first round's counts, only if a second round needs them.
-    check_dead = validate and np.any(capacities == 0)
-    counts = None if check_dead else link_counts
-    sub_links = None
-    if counts is None:
-        sub_links, sub_fids, lengths = gather_subset_entries(
-            pm.link_ids, pm.offsets, act
-        )
-    elif len(counts) != n_links:
-        raise ValueError(
-            f"link_counts has {len(counts)} entries for {n_links} links"
-        )
-    else:
-        lengths = pm.offsets[act + 1] - pm.offsets[act]
-
-    if check_dead:
+    # CSR compaction: gather the active flows' link entries once.
+    sub_links, sub_fids, lengths = gather_subset_entries(
+        pm.link_ids, pm.offsets, act
+    )
+    if np.any(capacities == 0):
         # Zero capacity models a *failed* link (see repro.faults); flows
         # must be routed around failures before rates are solved.
         entry_dead = capacities[sub_links] == 0
@@ -182,9 +151,8 @@ def max_min_fair_rates(
         if not unfrozen.any():
             break
         rounds_done += 1
-        if counts is None:
-            entry_live = unfrozen[sub_fids]
-            counts = np.bincount(sub_links[entry_live], minlength=n_links)
+        entry_live = unfrozen[sub_fids]
+        counts = np.bincount(sub_links[entry_live], minlength=n_links)
         # Only used links move (cap_rem - 0 * inc is cap_rem exactly).
         used = np.flatnonzero(counts > 0)
         if not used.size:
@@ -201,18 +169,12 @@ def max_min_fair_rates(
         sat = used[rem <= _EPS * capacities[used]]
         if return_bottlenecks:
             bottle[sat] = True
-        counts = None
         if len(sat) == len(used):
             # Every live flow crosses only used links, so all freeze.
             hit = unfrozen.copy()
         else:
             # Only a later round reads the remaining capacities.
             cap_rem[used] = rem
-            if sub_links is None:
-                sub_links, sub_fids, _ = gather_subset_entries(
-                    pm.link_ids, pm.offsets, act
-                )
-                entry_live = unfrozen[sub_fids]
             saturated = np.zeros(n_links, dtype=bool)
             saturated[sat] = True
             hit_entries = entry_live & saturated[sub_links]

@@ -50,10 +50,11 @@ In-flight flows live in :class:`_VectorFlows`, which stores all flow
 state in a persistent array-native
 :class:`~repro.simmpi.ledger.FlowLedger` — an append-only CSR path
 arena plus ``remaining``/``group``/``active`` planes and a per-link
-load plane — so every event is a handful of numpy reductions: the
-fairness solve starts its first round from the ledger's link counts
-and gathers the live :class:`~repro.netsim.batchroute.PathMatrix`
-view's entries only when a second round is needed, ``dt`` is
+load plane — so every event is a handful of numpy reductions: a
+histogram of links by (capacity, load) decides the water-fill's first
+round, and only when that round leaves a used link unsaturated does
+the solver run over the live
+:class:`~repro.netsim.batchroute.PathMatrix` view; ``dt`` is
 ``(remaining / rates).min()``, flow progress is
 ``remaining[act] -= rates * dt``, and group completion is a
 ``bincount``-style grouped reduction.  The original per-flow-object
@@ -173,6 +174,7 @@ class _VectorFlows:
     __slots__ = (
         "ledger", "groups", "_next_gid",
         "_act", "_rates", "_rem", "_pending",
+        "_caps", "_cls", "_cls_caps", "_seen", "_hist",
     )
 
     def __init__(self, num_links: int):
@@ -187,6 +189,9 @@ class _VectorFlows:
         self._rates: np.ndarray | None = None
         self._rem: np.ndarray | None = None
         self._pending: list[int] = []
+        # Histogram of links by (capacity class, ledger load), kept for
+        # the capacity plane it was built on (see solve_dt).
+        self._caps: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ledger.num_active
@@ -210,15 +215,18 @@ class _VectorFlows:
     def solve_dt(self, capacities: np.ndarray) -> float:
         """Re-solve fair rates over the live ledger view.
 
-        The ledger's load plane is exactly the per-link count of the
-        active entries, so :func:`~repro.netsim.fairness.max_min_fair_rates`
-        runs its first round from it, and its lazy active-subset gather
-        sees the entries the oracle's rebuilt path list would contain
-        (up to flow permutation, under which the water-fill is
-        equivariant): rates — and the exact ``min`` below — are
-        bit-identical.  ``validate=False`` skips the solver's
-        failed-link scan: the engine reroutes flows off dead links
-        before ever re-solving.
+        Round 1 of the water-fill is decided here, from a histogram of
+        links by (capacity class, ledger load): its distinct used pairs
+        ``(c, k)`` give the solver's first increment ``min(c / k)`` from
+        the very values it would divide.  If every used link saturates
+        at it (the solver's own ``c - k*inc <= _EPS*c`` test), every
+        flow freezes in round 1 at ``0.0 + inc``, so the rates are that
+        constant and, division being monotone, ``dt`` is
+        ``min(remaining) / inc``: bit for bit the full solve.  Otherwise
+        :func:`~repro.netsim.fairness.max_min_fair_rates` solves the
+        live view.  The histogram is rebuilt only when a fault or repair
+        swaps the capacity plane, and brought up to date here by
+        diffing the ledger's load plane against the one it last saw.
         """
         act = self._act
         if act is None:
@@ -229,14 +237,40 @@ class _VectorFlows:
             )
         self._pending.clear()
         self._act = act
-        rates = max_min_fair_rates(
-            self.ledger.view(), capacities, active=act,
-            link_counts=self.ledger.link_load, validate=False,
+        load = self.ledger.link_load
+        if capacities is not self._caps:
+            self._caps = capacities
+            self._cls_caps, self._cls = np.unique(
+                capacities, return_inverse=True
+            )
+            self._seen = np.zeros_like(load)
+            self._hist = np.bincount(self._cls)[:, None]
+        seen, cls = self._seen, self._cls
+        moved = (seen != load).nonzero()[0]
+        if moved.size:
+            new = load[moved]
+            top = int(new.max()) + 1 - self._hist.shape[1]
+            if top > 0:
+                self._hist = np.pad(self._hist, ((0, 0), (0, top)))
+            np.add.at(self._hist, (cls[moved], seen[moved]), -1)
+            np.add.at(self._hist, (cls[moved], new), 1)
+            seen[moved] = new
+        ci, k = np.nonzero(self._hist[:, 1:])
+        c = self._cls_caps[ci]
+        k += 1
+        inc = float((c / k).min())
+        rem = self._rem = self.ledger.remaining[act]
+        if (c - k * inc <= _EPS * c).all():
+            if observability.OBS.enabled:
+                observability.counter_add("netsim.fairness.calls")
+                observability.counter_add("netsim.fairness.rounds")
+                observability.counter_add("netsim.fairness.flows", len(act))
+            self._rates = np.full(len(act), inc)
+            return float(rem.min() / inc)
+        self._rates = max_min_fair_rates(
+            self.ledger.view(), capacities, active=act
         )
-        self._rates = rates
-        rem = self.ledger.remaining[act]
-        self._rem = rem
-        return float((rem / rates).min())
+        return float((rem / self._rates).min())
 
     def degraded_count(self, degr_mask: np.ndarray) -> int:
         """How many in-flight flows cross a degraded link."""

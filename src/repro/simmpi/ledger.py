@@ -14,12 +14,11 @@ preallocated numpy planes:
   ``order_key`` / ``active`` planes, so per-event progress is
   ``remaining[act] -= rates * dt`` instead of a Python loop;
 * an incrementally maintained per-link **load plane** (flows currently
-  crossing each link), updated on add/retire rather than recounted; it
-  seeds the first water-fill round of every per-event solve (the
-  ``link_counts`` argument of
-  :func:`~repro.netsim.fairness.max_min_fair_rates`), so its invariant —
-  it equals ``np.bincount`` over the active slots' entries — is what
-  keeps the rates exact;
+  crossing each link), updated on add/retire rather than recounted; the
+  engine's per-event solve diffs it into a (capacity, load) histogram
+  that decides the first water-fill round, so its invariant — it equals
+  ``np.bincount`` over the active slots' entries — is what keeps the
+  rates exact;
 * a cached read-only :class:`~repro.netsim.batchroute.PathMatrix`
   *view* of the live arena (invalidated by appends, never copied), so
   the fairness solver's active-subset indexing consumes ledger state

@@ -71,6 +71,37 @@ def masked_pairs(draw):
     return torus, mask, src, dst
 
 
+class EnteredVertices(list):
+    """The search's coordinate table, counting the vertices it enters.
+
+    ``_lexmin_shortest_links`` reads ``coords[dst]`` once and then
+    ``coords[u]`` once per vertex it enters.  A vertex it enters is
+    either a dead end or on the final stack, so when it returns a route,
+    ``entered - len(route) - 1`` is its dead-end count.
+    """
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    @property
+    def entered(self) -> int:
+        return self.reads - 1
+
+
+def count_entered(monkeypatch, torus: Torus) -> EnteredVertices:
+    coords, nbr, cuts = batchroute._search_tables(torus)
+    table = EnteredVertices(coords)
+    monkeypatch.setattr(
+        batchroute, "_search_tables", lambda _: (table, nbr, cuts)
+    )
+    return table
+
+
 class TestDfsMatchesSweep:
     @given(masked_pairs())
     @settings(max_examples=400, deadline=None)
@@ -168,9 +199,10 @@ class TestWorkedExample:
 def test_fault_sweep_reroutes_all_take_the_dfs(monkeypatch):
     """The e2e ``fault_sweep`` grid (Mira's 2×2×2×2 midplanes, node
     torus 8×8×8×8×2, K = 0..4, 12 trials, seed 0): all 464 reroutes
-    have a surviving path of healthy length, and each equals the sweep's
-    route link for link."""
+    have a surviving path of healthy length, each equals the sweep's
+    route link for link, and none comes near the dead-end budget."""
     torus = PartitionGeometry((2, 2, 2, 2)).bgq_network()
+    table = count_entered(monkeypatch, torus)
     assert torus.dims == (8, 8, 8, 8, 2)
     edges = [(u, v) for u, v, _ in torus.edges()]
     src = np.arange(torus.num_vertices, dtype=np.int64)
@@ -183,11 +215,15 @@ def test_fault_sweep_reroutes_all_take_the_dfs(monkeypatch):
 
     reroutes = []
     fallbacks = []
+    dead_ends = []
     dfs, sweep = _lexmin_shortest_links, _masked_bfs_sweep
 
     def counting_dfs(torus_, s, t, masked):
         reroutes.append((s, t))
-        return dfs(torus_, s, t, masked)
+        table.reads = 0
+        links = dfs(torus_, s, t, masked)
+        dead_ends.append(table.entered - len(links) - 1)
+        return links
 
     def counting_sweep(*args):
         fallbacks.append(args[1:3])
@@ -213,6 +249,59 @@ def test_fault_sweep_reroutes_all_take_the_dfs(monkeypatch):
                 assert pm[s].tolist() == want.tolist()
     assert len(reroutes) == 464
     assert fallbacks == []
+    assert max(dead_ends) < batchroute._DEAD_END_BUDGET // 4
+
+
+class TestDeadEndBudget:
+    """On the 8×8×8×8×2 torus the distance-cutting box of a far pair
+    holds thousands of vertices; the search gives up after
+    ``_DEAD_END_BUDGET`` dead ends and the sweep finds the route."""
+
+    torus = PartitionGeometry((2, 2, 2, 2)).bgq_network()
+
+    def rank(self, vertex) -> int:
+        return int(np.ravel_multi_index(vertex, self.torus.dims))
+
+    def cut_cables(self, vertex, keep=lambda n: False):
+        return FaultSet(failed_links=[
+            (vertex, n) for n, _ in self.torus.neighbors(vertex)
+            if not keep(n)
+        ])
+
+    def check(self, monkeypatch, dst_vertex, faults):
+        dst = self.rank(dst_vertex)
+        mask = fault_link_mask(self.torus, faults)
+        masked = set(np.flatnonzero(mask).tolist())
+        table = count_entered(monkeypatch, self.torus)
+        assert _lexmin_shortest_links(self.torus, 0, dst, masked) is None
+        # Entered = dead ends + the final stack (at most the healthy
+        # distance plus the source).
+        budget = batchroute._DEAD_END_BUDGET
+        healthy = healthy_distance(self.torus, 0, dst)
+        assert budget < table.entered <= budget + healthy + 1
+        got = masked_bfs_links(self.torus, 0, dst, mask)
+        want = _masked_bfs_sweep(self.torus, 0, dst, mask)
+        return got, want
+
+    def test_isolated_antipode(self, monkeypatch):
+        # The antipode has lost all nine cables: disconnected.
+        antipode = self.torus.antipode((0, 0, 0, 0, 0))
+        got, want = self.check(
+            monkeypatch, antipode, self.cut_cables(antipode)
+        )
+        assert got is None and want is None
+
+    def test_detour_around_cut_near_side(self, monkeypatch):
+        # (4, 3, 3, 3, 1) keeps only its cables to farther vertices, so
+        # the route detours by two hops.
+        far = (4, 3, 3, 3, 1)
+        d = healthy_distance(self.torus, 0, self.rank(far))
+        got, want = self.check(monkeypatch, far, self.cut_cables(
+            far,
+            keep=lambda n: healthy_distance(self.torus, 0, self.rank(n)) > d,
+        ))
+        assert len(want) == d + 2
+        assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("dims", [(1,), (1, 1), (2,), (2, 1)])

@@ -2,8 +2,8 @@
 
 The original engine's per-flow Python loops, kept verbatim: one
 ``_Flow`` object per in-flight message, a rebuilt path list and a full
-:func:`~repro.netsim.fairness.max_min_fair_rates` solve (no ledger
-counts) at every event.  The engine always builds its ledger-backed
+:func:`~repro.netsim.fairness.max_min_fair_rates` solve (no ledger,
+no link histogram) at every event.  The engine always builds its ledger-backed
 ``_VectorFlows``; tests swap this class in with
 ``monkeypatch.setattr(repro.simmpi.engine, "_VectorFlows", OracleFlows)``
 (or :func:`oracle_engine`) and require bit-identical
