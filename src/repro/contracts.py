@@ -107,7 +107,7 @@ def check_path_matrix(pm) -> None:
 def check_stacked_matrix(spm) -> None:
     """Construction contract of a :class:`StackedPathMatrix`."""
     check_array("StackedPathMatrix.link_ids", spm.link_ids,
-                dtype=np.int64, ndim=1, readonly=True)
+                dtype=np.int32, ndim=1, readonly=True)
     check_array("StackedPathMatrix.offsets", spm.offsets,
                 dtype=np.int64, ndim=1, readonly=True)
     check_array("StackedPathMatrix.flow_base", spm.flow_base,

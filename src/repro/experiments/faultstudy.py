@@ -108,6 +108,8 @@ def surviving_bisection_bandwidth(
     drained = faults.failed_nodes
     degraded = {}
     for (u, v), factor in faults.degraded_links.items():
+        if u in drained or v in drained:
+            continue  # lost whole with its drained node, below
         key = (u, v) if (u, v) <= (v, u) else (v, u)
         degraded[key] = factor
 

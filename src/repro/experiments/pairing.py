@@ -244,7 +244,7 @@ def _pairing_stack(
     link_base = np.cumsum(
         [0] + [t.num_vertices * link_layout(t).degree for t in tori]
     )
-    link_ids = np.empty(entry_base[-1], dtype=np.int64)
+    link_ids = np.empty(entry_base[-1], dtype=np.int32)
     offsets = np.zeros(flow_base[-1] + 1, dtype=np.int64)
     capacities = np.empty(link_base[-1], dtype=float)
     for s, (torus, (_, params)) in enumerate(zip(tori, tasks)):

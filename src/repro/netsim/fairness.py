@@ -352,6 +352,8 @@ def _water_fill_block(
     entries = stack.link_ids[stack.offsets[f0] : stack.offsets[f1]]
     if live_lengths.sum() < len(entries):
         entries = entries[np.repeat(unfrozen, lengths)]
+    # l0 is a Python int, so the ids stay int32; an np.int64 offset
+    # would promote this block-sized copy back to int64.
     live_links = entries - l0
     if not capacities.all():
         # Scalar parity: a flow crossing a zero-capacity (failed) link

@@ -22,6 +22,8 @@ Layout
   flat ``capacities`` plane, and its entries in ``link_ids`` are the
   scenario-local ids **plus** ``link_base[s]`` — scenarios can never
   alias each other's links;
+* ``link_ids``, the largest plane, is int32: a stack holds at most
+  ``2**31 - 1`` links (the Figures 3/4 stack holds 4.6 M);
 * ``active`` marks the flows that participate at all (the fault sweep
   excludes disconnected flows per scenario).
 
@@ -115,7 +117,9 @@ class StackedPathMatrix:
     link_ids, offsets:
         Ordinary flow CSR over the concatenated flows of all scenarios.
         Entries are *global* link ids — the scenario-local id plus that
-        scenario's ``link_base`` offset.
+        scenario's ``link_base`` offset.  The ids are checked against
+        their regions as given, then stored as int32; a stack of more
+        than ``2**31 - 1`` links is rejected.
     flow_base:
         ``(S + 1,)`` int64: flows of scenario ``s`` are rows
         ``flow_base[s]:flow_base[s+1]``.
@@ -153,7 +157,7 @@ class StackedPathMatrix:
         capacities: np.ndarray,
         active: np.ndarray | None = None,
     ):
-        link_ids = np.ascontiguousarray(link_ids, dtype=np.int64)
+        link_ids = np.asarray(link_ids)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         flow_base = np.ascontiguousarray(flow_base, dtype=np.int64)
         link_base = np.ascontiguousarray(link_base, dtype=np.int64)
@@ -170,6 +174,10 @@ class StackedPathMatrix:
             raise ValueError(
                 f"flow_base must run from 0 to num_flows={n_flows}, got "
                 f"[{flow_base[0]}, {flow_base[-1]}]"
+            )
+        if link_base[-1] > np.iinfo(np.int32).max:
+            raise ValueError(
+                f"{link_base[-1]} links overflow the int32 link-id plane"
             )
         if link_base[0] != 0 or link_base[-1] != len(capacities):
             raise ValueError(
@@ -219,6 +227,8 @@ class StackedPathMatrix:
                     "link_ids stray outside their scenario's "
                     "[link_base[s], link_base[s+1]) region"
                 )
+        # Every id now lies below link_base[-1] <= 2**31 - 1: none wraps.
+        link_ids = np.ascontiguousarray(link_ids, dtype=np.int32)
         for arr in (link_ids, offsets, flow_base, link_base, capacities,
                     act, scen):
             arr.flags.writeable = False
@@ -286,7 +296,7 @@ class StackedPathMatrix:
         np.cumsum(np.concatenate([pm.lengths for pm in pms]),
                   out=offsets[1:])
         entry_base = offsets[flow_base]
-        link_ids = np.empty(entry_base[-1], dtype=np.int64)
+        link_ids = np.empty(entry_base[-1], dtype=np.int32)
         for s, pm in enumerate(pms):
             np.add(pm.link_ids, link_base[s],
                    out=link_ids[entry_base[s] : entry_base[s + 1]])

@@ -60,6 +60,18 @@ class TestSurvivingBisection:
         )
         assert 0.0 <= cut < healthy
 
+    def test_degraded_link_at_drained_node_counted_once(self):
+        torus = Torus((8,))
+        drained = surviving_bisection_bandwidth(
+            torus, FaultSet(failed_nodes=[(3,)])
+        )
+        both = surviving_bisection_bandwidth(
+            torus,
+            FaultSet(failed_nodes=[(3,)],
+                     degraded_links={((3,), (4,)): 0.25}),
+        )
+        assert both == drained == pytest.approx(1.0)
+
     def test_never_negative(self):
         torus = Torus((2, 2))
         everything = FaultSet(

@@ -175,6 +175,8 @@ class TestPairingStack:
             np.testing.assert_array_equal(
                 getattr(got, plane), getattr(want, plane), err_msg=plane
             )
+            assert getattr(got, plane).dtype == getattr(want, plane).dtype
+        assert got.link_ids.dtype == np.int32
 
     def test_build_peak_below_one_and_a_half_stacks(self):
         tasks = [(g, FAST) for g in self.HANDFUL]

@@ -7,9 +7,12 @@ original hardware.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation.geometry import PartitionGeometry
 from repro.isoperimetry.cuboids import best_cuboid
@@ -20,6 +23,13 @@ from repro.netsim.routing import dimension_ordered_route
 from repro.netsim.schedule import RouteCache, TransferRound, simulate_rounds
 from repro.netsim.traffic import bisection_pairing
 from repro.topology.torus import Torus
+
+# Midplane geometries of at most 8 midplanes, one per rotation class.
+SMALL_GEOMETRIES = [
+    dims
+    for dims in itertools.product(range(1, 5), repeat=4)
+    if list(dims) == sorted(dims, reverse=True) and math.prod(dims) <= 8
+]
 
 
 class TestCutComputations:
@@ -124,16 +134,26 @@ class TestModelVsTheory:
             )
             assert rates.min() == pytest.approx(expected), dims
 
-    def test_contention_bound_is_a_true_lower_bound(self):
+    @given(
+        dims=st.sampled_from(SMALL_GEOMETRIES),
+        ranks=st.sampled_from([7, 49, 98, 196, 343, 686, 1372, 2401, 4802]),
+        multiple=st.integers(1, 48),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contention_bound_is_a_true_lower_bound(
+        self, dims, ranks, multiple
+    ):
         """The Ballard-et-al contention floor never exceeds a simulated
-        time for the same volume."""
+        CAPS communication time for the same volume, on any small
+        partition geometry (default rounds schedule and embedding)."""
         from repro.analysis.contention import caps_contention
         from repro.experiments.matmul import run_caps_on_geometry
 
-        geo = PartitionGeometry((2, 1, 1, 1))
-        ranks, n = 2401, 9408
+        geo = PartitionGeometry(dims)
+        # 196 = 4 * 7^2: n divides evenly for f <= 4 and k <= 4.
+        n = 196 * multiple
         bound = caps_contention(geo, ranks, n).bound_seconds
         sim = run_caps_on_geometry(
-            geo, num_ranks=ranks, matrix_dim=n, max_cores=4
+            geo, num_ranks=ranks, matrix_dim=n
         ).communication_time
-        assert bound <= sim + 1e-9
+        assert bound <= sim * (1.0 + 1e-12)

@@ -209,6 +209,66 @@ class TestStackedPathMatrixConstruction:
         rates = stacked_max_min_fair_rates(stack)
         assert rates.tolist() == [1.0, np.inf, np.inf, 1.0]
 
+    def test_link_ids_plane_is_int32(self):
+        stack = StackedPathMatrix.from_scenarios(
+            [(_pm([0], [0, 1]), np.array([1.0, 2.0]), None)]
+        )
+        assert stack.link_ids.dtype == np.int32
+        raw = StackedPathMatrix(
+            link_ids=np.array([0, 1], dtype=np.int64),
+            offsets=np.array([0, 2]),
+            flow_base=np.array([0, 1]),
+            link_base=np.array([0, 2]),
+            capacities=np.ones(2),
+        )
+        assert raw.link_ids.dtype == np.int32
+        # The other planes keep their dtypes.
+        for plane in (raw.offsets, raw.flow_base, raw.link_base,
+                      raw.flow_scenarios):
+            assert plane.dtype == np.int64
+
+    def test_int64_id_past_int32_is_rejected_not_wrapped(self):
+        big = np.array([2**32 + 3], dtype=np.int64)
+        # Cast first, the id would wrap to 3: a valid slot of 4 links.
+        assert big.astype(np.int32).tolist() == [3]
+        with pytest.raises(ValueError, match="region"):
+            StackedPathMatrix(
+                link_ids=big,
+                offsets=np.array([0, 1]),
+                flow_base=np.array([0, 1]),
+                link_base=np.array([0, 4]),
+                capacities=np.ones(4),
+            )
+        pm = PathMatrix(big, np.array([0, 1]))
+        with pytest.raises(ValueError, match="capacity slots"):
+            StackedPathMatrix.from_scenarios([(pm, np.ones(4), None)])
+
+    def test_rejects_link_space_past_int32(self):
+        # The size check fires before any plane is sized from link_base.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                StackedPathMatrix(
+                    link_ids=np.array([0]),
+                    offsets=np.array([0, 1]),
+                    flow_base=np.array([0, 1]),
+                    link_base=np.array([0, 2**31]),
+                    capacities=np.ones(1),
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # 2**31 - 1 links pass the size check and meet the length check.
+        with pytest.raises(ValueError, match="num_links"):
+            StackedPathMatrix(
+                link_ids=np.array([0]),
+                offsets=np.array([0, 1]),
+                flow_base=np.array([0, 1]),
+                link_base=np.array([0, 2**31 - 1]),
+                capacities=np.ones(1),
+            )
+
     def test_repr(self):
         stack = StackedPathMatrix.from_scenarios(
             [(_pm([0]), np.array([1.0]), None)]

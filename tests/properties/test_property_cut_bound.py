@@ -8,14 +8,26 @@ Both fluid engines — the scalar :class:`FluidSimulation` and the
 :class:`StackedFluidSimulation` every sweep row runs — must respect
 that bound for each even dimension's perpendicular bisection and each
 direction, on random ``(src, dst, volume)`` flows.
+
+The fault sweep obeys the same bound per scenario: every antipodal
+flow crosses every perpendicular bisection, so no
+:func:`~repro.experiments.faultstudy.fluid_fault_sweep` row can report
+more bandwidth than
+:func:`~repro.experiments.faultstudy.surviving_bisection_bandwidth` of
+its own fault set (failed links, failed nodes and degraded links).
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation.geometry import PartitionGeometry
+from repro.experiments import faultstudy
+from repro.faults import FaultSet
 from repro.netsim.batchroute import batch_dimension_ordered_routes
 from repro.netsim.fluid import FluidSimulation, StackedFluidSimulation
 from repro.netsim.network import LinkNetwork
@@ -93,3 +105,48 @@ def test_fluid_makespans_respect_every_bisection_cut(case):
         for bound in bounds:
             assert scalar >= bound * (1.0 - 1e-12)
             assert float(stacked[s]) >= bound * (1.0 - 1e-12)
+
+
+@given(
+    dims=st.sampled_from([(1, 1, 1, 1), (2, 1, 1, 1)]),
+    draws=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 10**6), max_size=3),  # failed links
+            st.lists(st.integers(0, 10**6), max_size=2),  # failed nodes
+            st.lists(  # degraded links and their factors
+                st.tuples(st.integers(0, 10**6), st.floats(0.1, 0.9)),
+                max_size=3,
+            ),
+        ),
+        min_size=5,
+        max_size=5,
+    ),
+)
+@settings(max_examples=15, deadline=None)
+def test_fault_rows_respect_their_own_surviving_cut(dims, draws):
+    torus = PartitionGeometry(dims).bgq_network()
+    edges = [(u, v) for u, v, _ in torus.edges()]
+    verts = list(torus.vertices())
+    # The sweep's five scenarios (k = 0, then two trials at k = 1, 2)
+    # draw their faults from these sets, keyed by the scenario seed.
+    seeds = [0, 1000, 1001, 2000, 2001]
+    plan = {
+        seed: FaultSet(
+            failed_links=[edges[i % len(edges)] for i in links],
+            failed_nodes=[verts[i % len(verts)] for i in nodes],
+            degraded_links={edges[i % len(edges)]: f for i, f in degraded},
+        )
+        for seed, (links, nodes, degraded) in zip(seeds, draws)
+    }
+    with mock.patch.object(
+        faultstudy, "random_link_failures",
+        lambda topo, k, seed, edges: plan[seed],
+    ):
+        rows = faultstudy.fluid_fault_sweep(
+            PartitionGeometry(dims), max_failures=2, trials=2, jobs=1
+        )
+    assert sorted(r.seed for r in rows) == seeds
+    for row in rows:
+        cut = faultstudy.surviving_bisection_bandwidth(torus, plan[row.seed])
+        # Far below one link's share (1 / cut) of the bandwidth.
+        assert row.bandwidth <= cut * (1.0 + 1e-9), (row, plan[row.seed])

@@ -151,3 +151,18 @@ class TestInstrumentedEntryPoints:
         with pytest.raises(contracts.ContractError, match="capacities"):
             StackedPathMatrix.from_scenarios([(pm, bad, None)])
         StackedPathMatrix.from_scenarios([(pm, caps, None)])  # sane input ok
+
+    def test_stacked_link_ids_pinned_to_int32(self, checks_on):
+        from repro.netsim.stacked import StackedPathMatrix
+
+        net, paths = small_problem()
+        stack = StackedPathMatrix.from_scenarios(
+            [(PathMatrix.from_paths(paths), net.capacities, None)]
+        )
+        assert stack.link_ids.dtype == np.int32
+        contracts.check_stacked_matrix(stack)
+        wide = stack.link_ids.astype(np.int64)
+        wide.flags.writeable = False
+        stack._link_ids = wide
+        with pytest.raises(contracts.ContractError, match="link_ids"):
+            contracts.check_stacked_matrix(stack)

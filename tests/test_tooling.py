@@ -10,11 +10,15 @@ zero unsuppressed findings, every suppression must carry a reason, and
 the ``REPRO_*`` knob registry must stay in sync with the docs.  Running
 the self-lint here makes a new violation fail tier-1 locally, not just
 the CI lint leg.
+
+Finally, every file that ``docs/reproduction_map.md`` names as a
+claim's verification must exist.
 """
 
 from __future__ import annotations
 
 import compileall
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,3 +66,29 @@ def test_knob_registry_matches_docs():
     assert docs is not None
     drift = staticcheck.check_knob_docs(docs)
     assert drift == [], "\n".join(f.message for f in drift)
+
+
+def test_reproduction_map_names_existing_files():
+    """Every file in the map's verification column exists.
+
+    ``bench_*.py`` names resolve under ``benchmarks/``, ``tests/...``
+    names from the repository root and any other ``.py`` name under
+    ``src/repro/``, so an abbreviated or renamed file cannot hide.
+    """
+    named = []
+    text = (ROOT / "docs" / "reproduction_map.md").read_text()
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3:
+            named += re.findall(r"`([^`]*\.py)`", cells[2])
+    assert len(named) >= 8
+
+    def where(name):
+        if name.startswith("bench_"):
+            return ROOT / "benchmarks" / name
+        if name.startswith("tests/"):
+            return ROOT / name
+        return SRC / "repro" / name
+
+    missing = [name for name in named if not where(name).is_file()]
+    assert not missing, f"docs/reproduction_map.md names {missing}"
