@@ -277,7 +277,7 @@ def _fluid_scenario_block(
     :func:`~repro.netsim.fairness.stacked_max_min_fair_rates` pass.
     This is the only driver path: a single scenario is a block of one.
     Rows are **bit-identical** to solving each scenario alone with the
-    scalar solver (differential-tested) — the per-scenario sums index
+    scalar reference (differential-tested) — the per-scenario sums index
     the compacted active rates so even float summation order matches.
     """
     rows: list[FaultScenarioRow | None] = [None] * len(tasks)
@@ -325,7 +325,7 @@ def _fluid_scenario_block(
                 surviving = 0.0
             elif active is not None:
                 # Compact before summing: same values in the same
-                # order as the scalar solver's active-rate vector, so
+                # order as a one-scenario solve's active-rate vector, so
                 # the pairwise float sum is bit-identical.
                 surviving = float(rates_s[active].sum()) / (
                     2.0 * link_bandwidth

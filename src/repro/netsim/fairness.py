@@ -7,15 +7,12 @@ model of TCP-fair / hardware-arbitrated link sharing and is what the
 bisection-pairing experiment's "every pair shares the cut" argument
 computes implicitly.
 
-The implementation is fully vectorized and operates natively on the
-CSR :class:`~repro.netsim.batchroute.PathMatrix`: per-link active-flow
-counts are ``np.bincount`` over the flat link-id array, and the
-per-round freeze test is a second bincount over the flow-id companion
-array — no per-flow Python loop anywhere.  The historical
-``Sequence[np.ndarray]`` input shape is accepted through a thin
-:meth:`PathMatrix.from_paths` adapter, and produces identical floats:
-the round structure (counts, increments, fill levels) is unchanged, so
-results are bit-for-bit those of the pre-CSR implementation.
+One kernel, :func:`_water_fill_block`, runs the rounds for a block of
+scenarios of a :class:`~repro.netsim.stacked.StackedPathMatrix`.
+:func:`stacked_max_min_fair_rates` walks a whole stack through it, and
+:func:`max_min_fair_rates` solves one scenario as a one-scenario stack.
+The scalar loop it replaced is the differential reference in
+``tests/oracles/scalar_water_fill.py``, matched bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 
 from .. import contracts, observability
 from .batchroute import PathMatrix
-from .stacked import StackedPathMatrix, gather_subset_entries, segment_min
+from .stacked import StackedPathMatrix, segment_min
 
 __all__ = ["max_min_fair_rates", "stacked_max_min_fair_rates"]
 
@@ -64,10 +61,10 @@ def max_min_fair_rates(
         Indexed over *all* flows of *paths*, even when *active* selects
         a subset.
     active:
-        Optional array of flow indices to solve for; other flows are
-        treated as absent (no link usage).  The fluid engine uses this
-        to re-solve shrinking flow sets without re-slicing the
-        :class:`PathMatrix`.  Default: all flows.
+        Optional array of distinct flow indices to solve for, in any
+        order; other flows are treated as absent (no link usage).  The
+        fluid engine uses this to re-solve shrinking flow sets without
+        re-slicing the :class:`PathMatrix`.  Default: all flows.
     return_bottlenecks:
         When true, additionally return the sorted int64 ids of the
         *bottleneck links* — links that saturated while still carrying
@@ -86,113 +83,32 @@ def max_min_fair_rates(
     capacities = np.asarray(capacities, dtype=float)
     if contracts.enabled():
         contracts.check_solver_inputs("max_min_fair_rates", capacities)
-    if not np.all(capacities >= 0):
-        raise ValueError("link capacities must be non-negative")
     n_total = len(pm)
-    n_links = len(capacities)
-
-    if active is None:
-        act = np.arange(n_total, dtype=np.int64)
-    else:
+    mask = None
+    if active is not None:
         act = np.ascontiguousarray(active, dtype=np.int64).ravel()
         if act.size and (act.min() < 0 or act.max() >= n_total):
             raise ValueError(
                 f"active flow indices must be in [0, {n_total - 1}]"
             )
-    n_act = len(act)
-    rates = np.zeros(n_act, dtype=float)
-    bottle = np.zeros(n_links, dtype=bool) if return_bottlenecks else None
-    if n_act == 0:
-        if return_bottlenecks:
-            return rates, np.flatnonzero(bottle)
-        return rates
-
-    # CSR compaction: gather the active flows' link entries once.
-    sub_links, sub_fids, lengths = gather_subset_entries(
-        pm.link_ids, pm.offsets, act
+        mask = np.zeros(n_total, dtype=bool)
+        mask[act] = True
+        if np.count_nonzero(mask) < act.size:
+            raise ValueError("active flow indices must be distinct")
+    stack = StackedPathMatrix(
+        pm.link_ids, pm.offsets, [0, n_total], [0, len(capacities)],
+        capacities, active=mask,
     )
-    if np.any(capacities == 0):
-        # Zero capacity models a *failed* link (see repro.faults); flows
-        # must be routed around failures before rates are solved.
-        entry_dead = capacities[sub_links] == 0
-        if entry_dead.any():
-            pos = int(sub_fids[entry_dead].min())
-            flow_id = int(act[pos])
-            dead_links = sorted(
-                set(sub_links[entry_dead & (sub_fids == pos)].tolist())
-            )
-            raise ValueError(
-                f"flow {flow_id} crosses failed (zero-capacity) link(s) "
-                f"{dead_links}; "
-                "reroute around faults before solving rates"
-            )
-
-    caps = demands is not None
-    if caps:
-        demand_arr = np.asarray(list(demands), dtype=float)  # type: ignore[arg-type]
-        if len(demand_arr) != n_total:
-            raise ValueError(
-                f"demands has {len(demand_arr)} entries for {n_total} flows"
-            )
-        if not np.all(demand_arr > 0):
-            raise ValueError("all demands must be positive")
-        demand_act = demand_arr[act]
-
-    # Flows that traverse no link are unconstrained.
-    empty = lengths == 0
-    unfrozen = ~empty
-    rates[empty] = np.inf if not caps else demand_act[empty]
-
-    cap_rem = capacities.copy()
-    fill = 0.0
-    rounds_done = 0
-    # Guard: each round freezes at least one flow.
-    for _round in range(n_act + 1):
-        if not unfrozen.any():
-            break
-        rounds_done += 1
-        entry_live = unfrozen[sub_fids]
-        counts = np.bincount(sub_links[entry_live], minlength=n_links)
-        # Only used links move (cap_rem - 0 * inc is cap_rem exactly).
-        used = np.flatnonzero(counts > 0)
-        if not used.size:
-            break
-        used_counts = counts[used]
-        rem = cap_rem[used]
-        inc = float((rem / used_counts).min())
-        if caps:
-            head = demand_act[unfrozen] - fill
-            inc = min(inc, float(head.min()))
-        fill += inc
-        rem -= used_counts * inc
-        # Freeze flows crossing a saturated link (or hitting their demand).
-        sat = used[rem <= _EPS * capacities[used]]
-        if return_bottlenecks:
-            bottle[sat] = True
-        if len(sat) == len(used):
-            # Every live flow crosses only used links, so all freeze.
-            hit = unfrozen.copy()
-        else:
-            # Only a later round reads the remaining capacities.
-            cap_rem[used] = rem
-            saturated = np.zeros(n_links, dtype=bool)
-            saturated[sat] = True
-            hit_entries = entry_live & saturated[sub_links]
-            hit = np.bincount(sub_fids[hit_entries], minlength=n_act) > 0
-        if caps:
-            hit |= unfrozen & (fill >= demand_act - _EPS)
-        hit &= unfrozen
-        rates[hit] = fill
-        unfrozen &= ~hit
-    if unfrozen.any():  # pragma: no cover - defensive
-        rates[unfrozen] = fill
+    rates, bottlenecks, rounds_done = _solve(
+        stack, stack.active, demands, return_bottlenecks
+    )
+    if active is not None:
+        rates = rates[act]
     if observability.OBS.enabled:
         observability.counter_add("netsim.fairness.calls")
         observability.counter_add("netsim.fairness.rounds", rounds_done)
-        observability.counter_add("netsim.fairness.flows", n_act)
-    if return_bottlenecks:
-        return rates, np.flatnonzero(bottle)
-    return rates
+        observability.counter_add("netsim.fairness.flows", len(rates))
+    return (rates, bottlenecks) if return_bottlenecks else rates
 
 
 def stacked_max_min_fair_rates(
@@ -211,8 +127,8 @@ def stacked_max_min_fair_rates(
     water-fill rounds on its own slices of the link planes.  Within a
     block, because scenarios occupy disjoint regions of the flat link
     space, the per-round load-count/saturation/freeze updates of all
-    its scenarios are computed by the same elementwise operations the
-    scalar solver uses, and per-scenario increments come from exact
+    its scenarios are computed by the same elementwise operations as
+    one scenario's, and per-scenario increments come from exact
     segment minima (:func:`~repro.netsim.stacked.segment_min`).
     Scenarios at different water-fill depths coexist: a finished
     scenario's increment is zero, a bit-preserving no-op on its fill
@@ -241,32 +157,54 @@ def stacked_max_min_fair_rates(
     numpy.ndarray
         Per-flow rates aligned with the stacked flow rows; inactive
         flows get ``0.0``.  Slicing scenario ``s``'s rows and selecting
-        its active flows reproduces the scalar solver's output array
-        exactly.
+        its active flows reproduces :func:`max_min_fair_rates` on that
+        scenario alone exactly.
     """
     if not isinstance(stack, StackedPathMatrix):
         raise TypeError(
             f"expected a StackedPathMatrix, got {type(stack).__name__}"
         )
-    n_flows = stack.num_flows
-    capacities = stack.capacities
     if contracts.enabled():
         contracts.check_solver_inputs(
-            "stacked_max_min_fair_rates", capacities
+            "stacked_max_min_fair_rates", stack.capacities
         )
-    if not np.all(capacities >= 0):
-        raise ValueError("link capacities must be non-negative")
-
     act = stack.active
     if active is not None:
         extra = np.ascontiguousarray(active, dtype=bool)
-        if extra.shape != (n_flows,):
+        if extra.shape != act.shape:
             raise ValueError(
                 f"active mask has shape {extra.shape}, expected "
-                f"({n_flows},)"
+                f"{act.shape}"
             )
         act = act & extra
+    rates, bottlenecks, rounds_done = _solve(
+        stack, act, demands, return_bottlenecks
+    )
+    if observability.OBS.enabled:
+        observability.counter_add("netsim.fairness.stacked_calls")
+        observability.counter_add(
+            "netsim.fairness.stacked_scenarios", stack.num_scenarios
+        )
+        observability.counter_add("netsim.fairness.rounds", rounds_done)
+        observability.counter_add("netsim.fairness.flows", int(act.sum()))
+    return (rates, bottlenecks) if return_bottlenecks else rates
 
+
+def _solve(
+    stack: StackedPathMatrix,
+    act: np.ndarray,
+    demands: np.ndarray | Sequence[float] | None,
+    return_bottlenecks: bool,
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Water-fill the *act* flows of *stack*, block by block.
+
+    Returns the rates over all stacked flows (``0.0`` outside *act*),
+    the sorted global bottleneck link ids (``None`` unless asked for)
+    and the deepest scenario's round count.
+    """
+    n_flows = stack.num_flows
+    if not np.all(stack.capacities >= 0):
+        raise ValueError("link capacities must be non-negative")
     demand_arr = None
     if demands is not None:
         demand_arr = np.asarray(demands, dtype=float).ravel()
@@ -299,20 +237,8 @@ def stacked_max_min_fair_rates(
             stack, lo, hi, lengths, unfrozen, demand_arr, rates, bottle
         ))
         lo = hi
-    if observability.OBS.enabled:
-        observability.counter_add("netsim.fairness.stacked_calls")
-        observability.counter_add(
-            "netsim.fairness.stacked_scenarios", n_scen
-        )
-        observability.counter_add(
-            "netsim.fairness.rounds", rounds_done
-        )
-        observability.counter_add(
-            "netsim.fairness.flows", int(act.sum())
-        )
-    if return_bottlenecks:
-        return rates, np.flatnonzero(bottle)
-    return rates
+    ids = None if bottle is None else np.flatnonzero(bottle)
+    return rates, ids, rounds_done
 
 
 def _water_fill_block(
@@ -356,8 +282,8 @@ def _water_fill_block(
     # would promote this block-sized copy back to int64.
     live_links = entries - l0
     if not capacities.all():
-        # Scalar parity: a flow crossing a zero-capacity (failed) link
-        # must have been rerouted before rates are solved.
+        # A flow crossing a zero-capacity (failed) link must have been
+        # rerouted before rates are solved.
         entry_dead = capacities[live_links] == 0
         if entry_dead.any():
             row_ends = np.cumsum(live_lengths)
@@ -383,7 +309,7 @@ def _water_fill_block(
         rounds_done += 1
         used = counts > 0
         # Per-link headroom ratio; unused links are +inf so the segment
-        # minimum sees exactly the scalar solver's cap_rem/counts set.
+        # minimum sees exactly the used links' cap_rem/counts set.
         work.fill(np.inf)
         np.divide(cap_rem, counts, out=work, where=used)
         inc = segment_min(work, link_base)
@@ -421,14 +347,18 @@ def _water_fill_block(
 
 
 def _dead_link_error(stack: StackedPathMatrix, fid: int) -> ValueError:
-    """The error for stacked flow *fid* crossing zero-capacity links."""
+    """The error for stacked flow *fid* crossing zero-capacity links.
+
+    The scenario is named only when the stack has more than one.
+    """
     scen = int(stack.flow_scenarios[fid])
     local = fid - int(stack.flow_base[scen])
     links = stack.link_ids[stack.offsets[fid] : stack.offsets[fid + 1]]
     dead = links[stack.capacities[links] == 0]
     dead_links = sorted((dead - stack.link_base[scen]).tolist())
+    where = f" of scenario {scen}" if stack.num_scenarios > 1 else ""
     return ValueError(
-        f"flow {local} of scenario {scen} crosses failed "
+        f"flow {local}{where} crosses failed "
         f"(zero-capacity) link(s) {dead_links}; "
         "reroute around faults before solving rates"
     )

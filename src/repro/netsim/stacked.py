@@ -29,7 +29,7 @@ Layout
 
 Because scenarios occupy disjoint link regions, every per-link and
 per-flow quantity of the stacked solvers factors exactly into the
-per-scenario quantities of the scalar solvers — the foundation of the
+quantities of solving each scenario alone — the foundation of the
 bit-for-bit equivalence contract enforced by
 ``tests/properties/test_stacked_equivalence.py``.
 
@@ -49,7 +49,7 @@ import numpy as np
 from .. import contracts
 from .batchroute import PathMatrix
 
-__all__ = ["StackedPathMatrix", "gather_subset_entries", "segment_min"]
+__all__ = ["StackedPathMatrix", "segment_min"]
 
 
 def segment_min(
@@ -60,8 +60,8 @@ def segment_min(
     ``base`` is an ``(S + 1,)`` offsets array (``base[s]:base[s+1]`` is
     segment ``s``); empty segments yield *fill*.  Exact regardless of
     evaluation order (min is associative and commutative over floats
-    without NaNs), which is what lets the stacked solvers reproduce the
-    scalar solvers' reductions bit for bit.
+    without NaNs), which is what lets the stacked solvers reproduce
+    per-scenario reductions bit for bit.
     """
     n_seg = len(base) - 1
     out = np.full(n_seg, fill, dtype=float)
@@ -72,41 +72,6 @@ def segment_min(
         starts = base[:-1][nonempty]
         out[nonempty] = np.minimum.reduceat(values, starts)
     return out
-
-
-def gather_subset_entries(
-    link_ids: np.ndarray, offsets: np.ndarray, subset: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact the CSR entries of the *subset* rows, in subset order.
-
-    ``(link_ids, offsets)`` is an ordinary flow CSR; *subset* selects
-    row indices (any order, repeats allowed).  Returns
-    ``(entry_links, entry_rows, lengths)`` where ``entry_links`` is the
-    concatenation of the selected rows' link entries, ``entry_rows``
-    maps each entry back to its *local* position in *subset* (the
-    bincount companion), and ``lengths`` is the per-subset-row entry
-    count.  This is the shared gather under the active-subset water
-    fill (:func:`~repro.netsim.fairness.max_min_fair_rates`) and the
-    simmpi :class:`~repro.simmpi.ledger.FlowLedger`'s degraded/severed
-    masks; the arithmetic is kept byte-stable because downstream
-    bit-identity contracts depend on the gathered entry order.
-    """
-    subset = np.ascontiguousarray(subset, dtype=np.int64).ravel()
-    n_rows = len(subset)
-    lengths = offsets[subset + 1] - offsets[subset]
-    total = int(lengths.sum())
-    if total:
-        seg_starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(seg_starts, lengths)
-            + np.repeat(offsets[subset], lengths)
-        )
-        entry_links = link_ids[flat]
-    else:
-        entry_links = np.empty(0, dtype=np.int64)
-    entry_rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
-    return entry_links, entry_rows, lengths
 
 
 class StackedPathMatrix:
@@ -443,7 +408,7 @@ class StackedPathMatrix:
         """Per-scenario views of a flow-aligned array.
 
         Views, not copies: slicing preserves element order, so summing
-        a scenario's slice reproduces the scalar solver's pairwise sum
+        a scenario's slice reproduces a one-scenario solve's pairwise sum
         over that scenario's array bit for bit.
         """
         per_flow = np.asarray(per_flow)

@@ -40,7 +40,6 @@ import numpy as np
 
 from .. import observability
 from ..netsim.batchroute import PathMatrix
-from ..netsim.stacked import gather_subset_entries
 
 __all__ = ["FlowLedger"]
 
@@ -203,8 +202,21 @@ class FlowLedger:
     def subset_entries(
         self, slots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR entries of *slots*: ``(entry_links, entry_rows, lengths)``."""
-        return gather_subset_entries(self._links, self._offsets, slots)
+        """CSR entries of *slots* (any order, repeats allowed).
+
+        Returns ``(entry_links, entry_rows, lengths)``: the selected
+        slots' link entries in *slots* order, each entry's position in
+        *slots*, and the per-slot entry counts.
+        """
+        slots = np.ascontiguousarray(slots, dtype=np.int64).ravel()
+        starts = self._offsets[slots]
+        lengths = self._offsets[slots + 1] - starts
+        entry_rows = np.repeat(np.arange(len(slots), dtype=np.int64), lengths)
+        # Gathered entry j of row r is arena entry starts[r] + j - (the
+        # gather position of row r's first entry).
+        shift = starts - (np.cumsum(lengths) - lengths)
+        flat = np.arange(len(entry_rows), dtype=np.int64) + shift[entry_rows]
+        return self._links[flat], entry_rows, lengths
 
     def crossing_count(self, link_mask: np.ndarray, slots: np.ndarray) -> int:
         """How many of *slots* cross at least one masked link."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.fairness import max_min_fair_rates
+from tests.oracles.scalar_water_fill import scalar_max_min_fair_rates
 
 
 def _paths(*lists):
@@ -110,6 +111,32 @@ class TestValidation:
             max_min_fair_rates(
                 paths, np.array([1.0, 1.0]), demands=[np.nan, 1.0]
             )
+
+
+class TestActiveIndices:
+    """``active`` is an index array; the solver turns it into the mask
+    of a one-scenario stack and returns rates in the caller's order."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(7)
+        paths = [rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
+                 for _ in range(8)]
+        return paths, rng.uniform(0.5, 3.0, size=6)
+
+    def test_unsorted_active_follows_caller_order(self):
+        paths, caps = self._case()
+        active = np.array([5, 0, 3])
+        rates = max_min_fair_rates(paths, caps, active=active)
+        oracle = scalar_max_min_fair_rates(paths, caps, active=active)
+        assert rates.tobytes() == oracle.tobytes()
+        ordered = max_min_fair_rates(paths, caps, active=np.sort(active))
+        assert rates.tobytes() == ordered[[2, 0, 1]].tobytes()
+
+    def test_repeated_index_rejected(self):
+        paths, caps = self._case()
+        with pytest.raises(ValueError, match="distinct"):
+            max_min_fair_rates(paths, caps, active=np.array([1, 4, 1]))
 
 
 class TestSymmetricPatterns:

@@ -1,8 +1,9 @@
 """Randomized invariants of the max-min fair rate solver.
 
 For random flow/link configurations (fixed seeds — the draws are part
-of the test identity), :func:`max_min_fair_rates` must satisfy the
-defining properties of a max-min fair allocation:
+of the test identity), :func:`max_min_fair_rates` and its scalar
+reference (``tests/oracles/scalar_water_fill.py``) must both satisfy
+the defining properties of a max-min fair allocation:
 
 1. **Feasibility** — no link carries more than its capacity (within
    the solver's epsilon).
@@ -21,8 +22,15 @@ import pytest
 
 import repro.netsim.fairness as fairness_mod
 from repro.netsim.fairness import max_min_fair_rates
+from tests.oracles.scalar_water_fill import scalar_max_min_fair_rates
 
 _EPS = 1e-9
+
+
+@pytest.fixture
+def solve():
+    """The solver under test (:class:`TestScalarOracle` swaps it)."""
+    return max_min_fair_rates
 
 
 def random_instance(seed: int, with_demands: bool):
@@ -54,9 +62,9 @@ def link_loads(paths, rates, n_links):
 
 @pytest.mark.parametrize("seed", range(25))
 @pytest.mark.parametrize("with_demands", [False, True])
-def test_max_min_invariants(seed, with_demands):
+def test_max_min_invariants(solve, seed, with_demands):
     paths, capacities, demands = random_instance(seed, with_demands)
-    rates = max_min_fair_rates(paths, capacities, demands)
+    rates = solve(paths, capacities, demands)
 
     n_links = len(capacities)
     assert len(rates) == len(paths)
@@ -87,35 +95,35 @@ def test_max_min_invariants(seed, with_demands):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_rates_are_deterministic(seed):
+def test_rates_are_deterministic(solve, seed):
     paths, capacities, demands = random_instance(seed, True)
-    a = max_min_fair_rates(paths, capacities, demands)
-    b = max_min_fair_rates(paths, capacities, demands)
+    a = solve(paths, capacities, demands)
+    b = solve(paths, capacities, demands)
     assert np.array_equal(a, b)
 
 
-def test_empty_path_flow_unconstrained():
+def test_empty_path_flow_unconstrained(solve):
     paths = [np.asarray([], dtype=np.int64), np.asarray([0])]
-    rates = max_min_fair_rates(paths, np.asarray([2.0]))
+    rates = solve(paths, np.asarray([2.0]))
     assert np.isinf(rates[0])
     assert rates[1] == pytest.approx(2.0)
 
 
-def test_empty_path_flow_capped_by_demand():
+def test_empty_path_flow_capped_by_demand(solve):
     paths = [np.asarray([], dtype=np.int64)]
-    rates = max_min_fair_rates(paths, np.asarray([2.0]), demands=[1.5])
+    rates = solve(paths, np.asarray([2.0]), demands=[1.5])
     assert rates[0] == pytest.approx(1.5)
 
 
-def test_single_bottleneck_shared_equally():
+def test_single_bottleneck_shared_equally(solve):
     paths = [np.asarray([0]), np.asarray([0]), np.asarray([0, 1])]
-    rates = max_min_fair_rates(paths, np.asarray([3.0, 10.0]))
+    rates = solve(paths, np.asarray([3.0, 10.0]))
     assert np.allclose(rates, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(25))
 @pytest.mark.parametrize("with_demands", [False, True])
-def test_seeded_link_counts_bit_identical(seed, with_demands):
+def test_seeded_link_counts_bit_identical(solve, seed, with_demands):
     """Round 1 from the active flows' link counts alone, bit for bit.
 
     Over the distinct used (capacity, count) pairs, ``min(c / k)``,
@@ -151,9 +159,32 @@ def test_seeded_link_counts_bit_identical(seed, with_demands):
     if demands is not None:
         floor = min(inc, float(min(demands[active[i]] for i in live)))
 
-    rates = max_min_fair_rates(paths, capacities, demands, active=active)
+    rates = solve(paths, capacities, demands, active=active)
     assert rates[live].min() == floor
     uniform = bool(np.all(c - k * inc <= fairness_mod._EPS * c))
     assert uniform or not seed % 2
     if uniform and floor == inc:
         assert rates[live].tobytes() == np.full(len(live), inc).tobytes()
+
+
+class TestScalarOracle:
+    """The scalar reference holds the same invariants."""
+
+    @pytest.fixture
+    def solve(self):
+        return scalar_max_min_fair_rates
+
+    test_max_min_invariants = staticmethod(test_max_min_invariants)
+    test_rates_are_deterministic = staticmethod(test_rates_are_deterministic)
+    test_empty_path_flow_unconstrained = staticmethod(
+        test_empty_path_flow_unconstrained
+    )
+    test_empty_path_flow_capped_by_demand = staticmethod(
+        test_empty_path_flow_capped_by_demand
+    )
+    test_single_bottleneck_shared_equally = staticmethod(
+        test_single_bottleneck_shared_equally
+    )
+    test_seeded_link_counts_bit_identical = staticmethod(
+        test_seeded_link_counts_bit_identical
+    )

@@ -8,12 +8,13 @@ to, bit for bit:
 
 * :func:`pairing_result` routes each antipodal pair on its own with
   :func:`repro.netsim.routing.dimension_ordered_route` and runs the
-  scalar :class:`~repro.netsim.fluid.FluidSimulation`;
+  scalar :class:`~repro.netsim.fluid.FluidSimulation` on the scalar
+  water-fill;
 * :func:`fault_scenario_row` applies the failure draw with
   ``LinkNetwork.with_faults``, re-routes each pair the faults touch
   with the scalar :func:`~repro.netsim.routing.fault_aware_route`, and
-  solves the surviving flows with the scalar
-  :func:`~repro.netsim.fairness.max_min_fair_rates`.
+  solves the surviving flows with the scalar water-fill of
+  :mod:`tests.oracles.scalar_water_fill`.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from repro.faults import (
     random_link_failures,
 )
 from repro.netsim.batchroute import PathMatrix
-from repro.netsim.fairness import max_min_fair_rates
 from repro.netsim.fluid import FluidSimulation
 from repro.netsim.network import LinkNetwork
 from repro.netsim.routing import dimension_ordered_route, fault_aware_route
 from repro.netsim.traffic import bisection_pairing
+
+from .scalar_water_fill import scalar_fluid, scalar_max_min_fair_rates
 
 
 def pairing_result(
@@ -51,9 +53,10 @@ def pairing_result(
         for s, d in bisection_pairing(torus)
     ]
     volume = params.volume_per_pair_gb
-    makespan, _, rates = FluidSimulation(
-        net, paths, [volume] * len(paths)
-    ).solve()
+    with scalar_fluid():
+        makespan, _, rates = FluidSimulation(
+            net, paths, [volume] * len(paths)
+        ).solve()
     return PairingResult(
         geometry=geometry,
         time_seconds=makespan,
@@ -124,7 +127,9 @@ def fault_scenario_row(
     if active is not None and active.size == 0:
         surviving = 0.0
     else:
-        rates = max_min_fair_rates(paths, fnet.capacities, active=active)
+        rates = scalar_max_min_fair_rates(
+            paths, fnet.capacities, active=active
+        )
         surviving = float(rates.sum()) / (2.0 * link_bandwidth)
     degraded = None
     if disconnected:

@@ -2,7 +2,7 @@
 
 The original engine's per-flow Python loops, kept verbatim: one
 ``_Flow`` object per in-flight message, a rebuilt path list and a full
-:func:`~repro.netsim.fairness.max_min_fair_rates` solve (no ledger,
+scalar water-fill (:mod:`tests.oracles.scalar_water_fill`; no ledger,
 no link histogram) at every event.  The engine always builds its ledger-backed
 ``_VectorFlows``; tests swap this class in with
 ``monkeypatch.setattr(repro.simmpi.engine, "_VectorFlows", OracleFlows)``
@@ -20,8 +20,9 @@ import pytest
 
 import repro.simmpi.engine as engine_mod
 from repro.faults import PartitionDisconnectedError
-from repro.netsim.fairness import max_min_fair_rates
 from repro.simmpi.engine import _EPS, _Group
+
+from .scalar_water_fill import scalar_max_min_fair_rates
 
 
 def _path_severed(caps: np.ndarray, path: np.ndarray) -> bool:
@@ -76,7 +77,7 @@ class OracleFlows:
 
     def solve_dt(self, capacities: np.ndarray) -> float:
         """Re-solve fair rates; return the time to the next completion."""
-        rates = max_min_fair_rates(
+        rates = scalar_max_min_fair_rates(
             [f.path for f in self.flows], capacities
         )
         self._rates = rates

@@ -36,14 +36,15 @@ from repro.netsim.batchroute import (
     batch_fault_aware_routes,
     fault_capacity_plane,
 )
-from repro.netsim.fairness import (
-    max_min_fair_rates,
-    stacked_max_min_fair_rates,
-)
+from repro.netsim.fairness import stacked_max_min_fair_rates
 from repro.netsim.fluid import FluidSimulation, StackedFluidSimulation
 from repro.netsim.network import LinkNetwork
 from repro.netsim.stacked import StackedPathMatrix
 from repro.topology.torus import Torus
+from tests.oracles.scalar_water_fill import (
+    scalar_fluid,
+    scalar_max_min_fair_rates,
+)
 
 dims_strategy = st.lists(
     st.integers(min_value=1, max_value=6), min_size=1, max_size=3
@@ -233,7 +234,7 @@ class TestStackedFairnessEquivalence:
             local_b = bottlenecks[
                 (bottlenecks >= lb) & (bottlenecks < hb)
             ] - lb
-            scalar_rates, scalar_b = max_min_fair_rates(
+            scalar_rates, scalar_b = scalar_max_min_fair_rates(
                 pm, caps, active=active, return_bottlenecks=True
             )
             if active is not None:
@@ -254,7 +255,7 @@ class TestStackedFairnessEquivalence:
         pm, caps, active = _solve_pieces(*s)
         stack = StackedPathMatrix.from_scenarios([(pm, caps, active)])
         flat = stacked_max_min_fair_rates(stack)
-        scalar = max_min_fair_rates(pm, caps, active=active)
+        scalar = scalar_max_min_fair_rates(pm, caps, active=active)
         got = flat if active is None else flat[active]
         assert got.tobytes() == scalar.tobytes()
 
@@ -270,7 +271,7 @@ class TestStackedFairnessEquivalence:
         flat = stacked_max_min_fair_rates(stack)
         for s, (pm, caps, active) in enumerate(pieces):
             fs = stack.flow_slice(s)
-            scalar = max_min_fair_rates(pm, caps, active=active)
+            scalar = scalar_max_min_fair_rates(pm, caps, active=active)
             got = flat[fs] if active is None else flat[fs][active]
             assert got.tobytes() == scalar.tobytes()
 
@@ -320,7 +321,7 @@ class TestStackedEmptyPathInterleaving:
             local_b = bottlenecks[
                 (bottlenecks >= lb) & (bottlenecks < hb)
             ] - lb
-            scalar_rates, scalar_b = max_min_fair_rates(
+            scalar_rates, scalar_b = scalar_max_min_fair_rates(
                 pm,
                 caps,
                 None if demands is None else demands[fs],
@@ -361,7 +362,8 @@ class TestStackedFluidEquivalence:
             else:
                 sub, svol = pm, volumes[s]
             net = types.SimpleNamespace(capacities=caps)
-            smk, scomp, sinit = FluidSimulation(net, sub, svol).solve()
+            with scalar_fluid():
+                smk, scomp, sinit = FluidSimulation(net, sub, svol).solve()
             assert float(makespans[s]) == smk
             if active is not None:
                 assert completions[fs][active].tobytes() == scomp.tobytes()

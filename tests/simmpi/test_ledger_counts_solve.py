@@ -129,19 +129,19 @@ def assert_matches_oracle(make_world, program):
 class TestFirstRoundGather:
     def test_dedicated_link_exchange_never_gathers(self, monkeypatch):
         solver = counting(monkeypatch, engine_mod, "max_min_fair_rates")
-        gathers = counting(monkeypatch, fairness_mod, "gather_subset_entries")
+        blocks = counting(monkeypatch, fairness_mod, "_water_fill_block")
         result = _dedicated_world().run(neighbour_exchange)
         assert solver["n"] == 0
-        assert gathers["n"] == 0
+        assert blocks["n"] == 0
         with oracle_engine():
             assert _dedicated_world().run(neighbour_exchange) == result
 
     def test_multi_round_solves_gather_and_match_oracle(self, monkeypatch):
         solver = counting(monkeypatch, engine_mod, "max_min_fair_rates")
-        gathers = counting(monkeypatch, fairness_mod, "gather_subset_entries")
+        blocks = counting(monkeypatch, fairness_mod, "_water_fill_block")
         result = _multi_round_world().run(antipodal)
         assert solver["n"] > 0
-        assert gathers["n"] > 0
+        assert blocks["n"] > 0
         with oracle_engine():
             assert _multi_round_world().run(antipodal) == result
 
