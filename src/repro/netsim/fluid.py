@@ -14,13 +14,15 @@ Packet-level effects (latency, protocol overheads) are out of scope; the
 experiments transfer hundreds of megabytes per flow, so bandwidth
 dominates.
 
-Flows live in a CSR :class:`~repro.netsim.batchroute.PathMatrix`
-(``Sequence[np.ndarray]`` inputs are adapted on construction), each
-re-solve passes an ``active`` index set instead of re-slicing paths,
-and every flow whose time-to-completion lands within ``_EPS`` of the
-round's earliest finish retires in that same round — symmetric patterns
-where all flows tie (the bisection pairing) complete in one solve
-instead of one re-solve per flow.
+One loop, :class:`StackedFluidSimulation`, advances every scenario of a
+:class:`~repro.netsim.stacked.StackedPathMatrix` at once; each re-solve
+passes an ``active`` mask instead of re-slicing paths, and every flow
+whose time-to-completion lands within ``_EPS`` of its scenario's
+earliest finish retires in that same round — symmetric patterns where
+all flows tie (the bisection pairing) complete in one solve instead of
+one re-solve per flow.  :class:`FluidSimulation` runs one flow set as a
+one-scenario stack.  The scalar loop it replaced is the differential
+reference in ``tests/oracles/scalar_fluid.py``, matched bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .. import contracts, observability
 from .batchroute import PathMatrix
-from .fairness import max_min_fair_rates, stacked_max_min_fair_rates
+from .fairness import stacked_max_min_fair_rates
 from .network import LinkNetwork
 from .stacked import StackedPathMatrix, segment_min
 
@@ -63,23 +65,22 @@ class FlowResult:
 
 
 class FluidSimulation:
-    """Progressive max-min fluid simulation of a set of flows.
+    """Progressive max-min fluid simulation of one set of flows.
+
+    A one-scenario :class:`StackedFluidSimulation`: the constructor
+    stacks the flows over the network's capacities as one validated
+    scenario, and :meth:`solve` runs the stacked loop on it.
 
     Parameters
     ----------
     network:
-        The capacitated link network.
+        The capacitated link network (only its ``capacities`` are read).
     paths:
         A :class:`PathMatrix`, or per-flow arrays of directed link ids.
     volumes:
         Per-flow data volumes (same units as capacity × time).
     demands:
         Optional per-flow injection-rate caps.
-    record_segments:
-        When true, :attr:`segments` collects one ``(dt, flow_indices,
-        rates)`` triple per round — the piecewise-constant rate
-        schedule, used by tests to check volume conservation
-        (``sum of rate × dt`` per flow equals its volume).
 
     After :meth:`run`, :attr:`rounds_used` holds the number of fairness
     re-solves the run needed (1 for fully symmetric patterns).
@@ -91,8 +92,6 @@ class FluidSimulation:
         paths: PathMatrix | Sequence[np.ndarray],
         volumes: Sequence[float],
         demands: Sequence[float] | None = None,
-        *,
-        record_segments: bool = False,
     ):
         pm = (
             paths
@@ -103,41 +102,28 @@ class FluidSimulation:
             raise ValueError(
                 f"{len(pm)} paths but {len(volumes)} volumes"
             )
-        vol = np.asarray(list(volumes), dtype=float)
-        if not np.all(vol > 0):
-            raise ValueError("all flow volumes must be positive")
-        self._net = network
-        self._pm = pm
-        self._volumes = vol
-        self._demands = (
-            None if demands is None else np.asarray(list(demands), dtype=float)
+        caps = np.asarray(network.capacities, dtype=float)
+        stack = StackedPathMatrix(
+            pm.link_ids, pm.offsets, [0, len(pm)], [0, len(caps)], caps
         )
-        if contracts.enabled():
-            contracts.check_solver_inputs(
-                "FluidSimulation", np.asarray(network.capacities, dtype=float),
-                demands=self._demands, volumes=vol,
-            )
-        self._record_segments = record_segments
-        self.segments: list[tuple[float, np.ndarray, np.ndarray]] = []
-        self.rounds_used: int | None = None
+        self._sim = StackedFluidSimulation(stack, volumes, demands)
 
     @property
-    def path_matrix(self) -> PathMatrix:
-        """The flows' paths in CSR form."""
-        return self._pm
+    def rounds_used(self) -> int | None:
+        """Fairness re-solves of the last run (``None`` before one)."""
+        return self._sim.rounds_used
 
     def run(self, max_rounds: int | None = None) -> tuple[float, list[FlowResult]]:
         """Run to completion: returns ``(makespan, per-flow results)``.
 
         *max_rounds* guards against pathological inputs; it defaults to
-        the number of flows (each round finishes at least one flow, and
-        grouped retirement usually finishes many).
+        the number of flows plus one (each round finishes at least one
+        flow, and grouped retirement usually finishes many).
         """
         makespan, completion, initial = self.solve(max_rounds)
         results = [
-            FlowResult(completion_time=float(completion[i]),
-                       initial_rate=float(initial[i]))
-            for i in range(len(self._pm))
+            FlowResult(completion_time=c, initial_rate=r)
+            for c, r in zip(completion.tolist(), initial.tolist())
         ]
         return makespan, results
 
@@ -150,89 +136,24 @@ class FluidSimulation:
         arrays, skipping the :class:`FlowResult` object construction —
         the form the experiment drivers consume for large flow counts.
         """
-        if observability.OBS.enabled:
-            with observability.span(
-                "netsim.fluid.run", flows=len(self._pm)
-            ):
-                return self._run(max_rounds)
-        return self._run(max_rounds)
-
-    def _run(
-        self, max_rounds: int | None = None
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        n = len(self._pm)
-        if n == 0:
-            self.rounds_used = 0
-            empty = np.empty(0, dtype=float)
-            return 0.0, empty, empty
-        remaining = self._volumes.copy()
-        active = np.ones(n, dtype=bool)
-        completion = np.zeros(n, dtype=float)
-        initial_rates = np.zeros(n, dtype=float)
-        now = 0.0
-        rounds_done = 0
-        rounds = max_rounds if max_rounds is not None else n + 1
-        for round_no in range(rounds):
-            idx = np.flatnonzero(active)
-            if len(idx) == 0:
-                break
-            rounds_done += 1
-            rates = max_min_fair_rates(
-                self._pm, self._net.capacities, self._demands, active=idx
-            )
-            if round_no == 0:
-                initial_rates[idx] = rates
-            if np.any(rates <= 0):  # pragma: no cover - defensive
-                raise RuntimeError("fluid simulation produced a zero rate")
-            # Empty-path flows have rate inf: ttc 0, retired immediately
-            # below (rate × dt would be inf·0 = nan, hence the errstate).
-            with np.errstate(invalid="ignore"):
-                ttc = remaining[idx] / rates
-                dt = float(ttc.min())
-                now += dt
-                if self._record_segments:
-                    self.segments.append((dt, idx.copy(), rates.copy()))
-                new_rem = remaining[idx] - rates * dt
-            # Grouped retirement: every flow finishing within _EPS of the
-            # round's earliest completion retires now, not one-per-solve.
-            done = (ttc <= dt * (1.0 + _EPS)) | (
-                new_rem <= _EPS * self._volumes[idx]
-            )
-            keep = idx[~done]
-            remaining[keep] = new_rem[~done]
-            finished = idx[done]
-            remaining[finished] = 0.0
-            active[finished] = False
-            completion[finished] = now
-        if active.any():
-            raise RuntimeError(
-                "fluid simulation did not converge within "
-                f"{rounds} rounds ({int(active.sum())} flows unfinished)"
-            )
-        self.rounds_used = rounds_done
-        if observability.OBS.enabled:
-            observability.counter_add("netsim.fluid.runs")
-            observability.counter_add("netsim.fluid.rounds", rounds_done)
-            observability.counter_add("netsim.fluid.flows", n)
-            observability.counter_add(
-                "netsim.fluid.gb_delivered", float(self._volumes.sum())
-            )
-        return now, completion, initial_rates
+        makespans, completion, initial = self._sim.solve(max_rounds)
+        return float(makespans[0]), completion, initial
 
 
 class StackedFluidSimulation:
     """Fluid simulation of many scenarios advanced by one numpy loop.
 
-    The stacked counterpart of :class:`FluidSimulation`: volumes,
-    completion times, and rates live in flat flow-aligned arrays over a
-    :class:`~repro.netsim.stacked.StackedPathMatrix`, each round solves
-    one :func:`~repro.netsim.fairness.stacked_max_min_fair_rates` pass,
-    and every scenario advances by *its own* earliest completion time —
-    scenarios retire flows independently, exactly as if each ran its
-    own :class:`FluidSimulation`.  Because all per-flow updates are
-    elementwise and all per-scenario reductions are exact minima, the
-    completion times, makespans, and initial rates are **bit-for-bit**
-    those of the per-scenario engine (differential-tested).
+    Volumes, completion times, and rates live in flat flow-aligned
+    arrays over a :class:`~repro.netsim.stacked.StackedPathMatrix`, each
+    round solves one
+    :func:`~repro.netsim.fairness.stacked_max_min_fair_rates` pass, and
+    every scenario advances by *its own* earliest completion time —
+    scenarios retire flows independently, exactly as if each ran alone.
+    Because all per-flow updates are elementwise and all per-scenario
+    reductions are exact minima, the completion times, makespans, and
+    initial rates are **bit-for-bit** those of the scalar loop of
+    ``tests/oracles/scalar_fluid.py`` run on each scenario
+    (differential-tested).
 
     Flows inactive in the stack (e.g. disconnected by faults) are
     never simulated: their completion time and initial rate stay 0.
@@ -280,10 +201,6 @@ class StackedFluidSimulation:
             )
         self.rounds_used: int | None = None
 
-    @property
-    def stack(self) -> StackedPathMatrix:
-        return self._stack
-
     def solve(
         self, max_rounds: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,8 +208,9 @@ class StackedFluidSimulation:
 
         *makespans* has one entry per scenario; *completions* and
         *initial_rates* are flow-aligned flat arrays.  Scenario ``s``'s
-        slice of each equals what ``FluidSimulation.solve`` returns for
-        that scenario alone.
+        slice of each equals what :meth:`FluidSimulation.solve` returns
+        for that scenario alone.  *max_rounds* defaults to the largest
+        scenario's flow count plus one.
         """
         if observability.OBS.enabled:
             with observability.span(
@@ -316,8 +234,8 @@ class StackedFluidSimulation:
         initial_rates = np.zeros(n, dtype=float)
         now = np.zeros(n_scen, dtype=float)
         rounds_done = 0
-        # The scalar guard is per scenario (flows + 1 rounds); the
-        # stacked loop runs until the *deepest* scenario converges.
+        # The guard is per scenario (flows + 1 rounds); the loop runs
+        # until the *deepest* scenario converges.
         per_scen_flows = np.diff(stack.flow_base)
         rounds = (
             max_rounds
@@ -335,12 +253,9 @@ class StackedFluidSimulation:
             if round_no == 0:
                 initial_rates[active] = rates[active]
             if np.any(rates[active] <= 0):  # pragma: no cover - defensive
-                raise RuntimeError(
-                    "stacked fluid simulation produced a zero rate"
-                )
+                raise RuntimeError("fluid simulation produced a zero rate")
             # Empty-path flows have rate inf: ttc 0, retired this round
-            # (rate × dt would be inf·0 = nan, hence the errstate) —
-            # identical to the scalar engine's handling.
+            # (rate × dt would be inf·0 = nan, hence the errstate).
             with np.errstate(invalid="ignore"):
                 ttc.fill(np.inf)
                 np.divide(remaining, rates, out=ttc, where=active)
@@ -361,10 +276,14 @@ class StackedFluidSimulation:
             active &= ~done
             completion[done] = now[flow_scn][done]
         if active.any():
-            bad = np.unique(flow_scn[active]).tolist()
+            unfinished = (
+                f"scenario(s) {np.unique(flow_scn[active]).tolist()}"
+                if n_scen > 1
+                else f"{int(active.sum())} flows"
+            )
             raise RuntimeError(
-                "stacked fluid simulation did not converge within "
-                f"{rounds} rounds (scenario(s) {bad} unfinished)"
+                f"fluid simulation did not converge within {rounds} "
+                f"rounds ({unfinished} unfinished)"
             )
         self.rounds_used = rounds_done
         if observability.OBS.enabled:
@@ -392,6 +311,4 @@ def simulate_flows(
     demands: Sequence[float] | None = None,
 ) -> float:
     """Convenience wrapper: makespan of the fluid simulation."""
-    sim = FluidSimulation(network, paths, volumes, demands)
-    makespan, _ = sim.run()
-    return makespan
+    return FluidSimulation(network, paths, volumes, demands).solve()[0]

@@ -1,4 +1,9 @@
-"""Unit tests for the fluid completion-time engine."""
+"""Unit tests for the fluid completion-time engine.
+
+:class:`TestAgainstOracle` pins :class:`FluidSimulation` (a
+one-scenario stacked run) to the scalar progress loop of
+``tests/oracles/scalar_fluid.py``, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,12 @@ import types
 import numpy as np
 import pytest
 
+from repro.netsim.batchroute import batch_dimension_ordered_routes
 from repro.netsim.fluid import FluidSimulation, simulate_flows
 from repro.netsim.network import LinkNetwork
 from repro.netsim.routing import dimension_ordered_route
 from repro.topology.torus import Torus
+from tests.oracles.scalar_fluid import ScalarFluidSimulation
 
 
 def _net_and_paths():
@@ -131,10 +138,12 @@ class TestGroupedCompletion:
         )
 
     def test_volume_conservation_over_segments(self):
-        """Sum of rate x dt segments equals each flow's volume."""
+        """Sum of rate x dt segments equals each flow's volume (on the
+        scalar oracle, which :class:`TestAgainstOracle` ties to the
+        engine bit for bit)."""
         net, pm = self._symmetric_pairing((8, 2))
         vols = [1.0 + 0.25 * i for i in range(len(pm))]
-        sim = FluidSimulation(net, pm, vols, record_segments=True)
+        sim = ScalarFluidSimulation(net, pm, vols, record_segments=True)
         sim.run()
         delivered = np.zeros(len(pm))
         for dt, idx, rates in sim.segments:
@@ -181,3 +190,80 @@ class TestAgainstClosedForm:
         vol = 3.0
         makespan = simulate_flows(net, paths, [vol] * len(paths))
         assert makespan == pytest.approx(vol / rates.min())
+
+
+def _random_flows(seed, with_demands):
+    """Batch-routed random flows on a random 1-D to 3-D torus; some
+    sources equal their destinations, so some paths are empty."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(a) for a in rng.integers(2, 6, size=rng.integers(1, 4)))
+    torus = Torus(dims)
+    net = LinkNetwork(torus, link_bandwidth=float(rng.choice([1.0, 2.0, 3.5])))
+    m = int(rng.integers(1, 25))
+    src = rng.integers(0, torus.num_vertices, size=m)
+    dst = rng.integers(0, torus.num_vertices, size=m)
+    pm = batch_dimension_ordered_routes(torus, src, dst)
+    volumes = rng.uniform(0.5, 4.0, size=m)
+    demands = rng.uniform(0.2, 3.0, size=m) if with_demands else None
+    return net, pm, volumes, demands
+
+
+class TestAgainstOracle:
+    """The engine equals the scalar loop bit for bit: makespan,
+    completions, initial rates and ``rounds_used``."""
+
+    def _assert_bitwise(self, net, paths, volumes, demands=None):
+        sim = FluidSimulation(net, paths, volumes, demands)
+        ref = ScalarFluidSimulation(net, paths, volumes, demands)
+        makespan, completion, initial = sim.solve()
+        ref_makespan, ref_completion, ref_initial = ref.solve()
+        assert type(makespan) is float
+        assert makespan == ref_makespan
+        assert completion.tobytes() == ref_completion.tobytes()
+        assert initial.tobytes() == ref_initial.tobytes()
+        assert sim.rounds_used == ref.rounds_used
+        return sim
+
+    @pytest.mark.parametrize("with_demands", [False, True])
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_tori(self, seed, with_demands):
+        self._assert_bitwise(*_random_flows(seed, with_demands))
+
+    @pytest.mark.parametrize("demands", [None, [0.5, 4.0, 1.5, 0.25]])
+    def test_empty_path_flows(self, demands):
+        net, p01, p12 = _net_and_paths()
+        empty = np.empty(0, dtype=np.int64)
+        sim = self._assert_bitwise(
+            net, [empty, p01, empty, p12], [1.0, 6.0, 2.0, 3.0], demands
+        )
+        assert sim.rounds_used >= 1
+
+    def test_only_empty_paths(self):
+        net, _, _ = _net_and_paths()
+        empty = np.empty(0, dtype=np.int64)
+        self._assert_bitwise(net, [empty, empty], [1.0, 2.0])
+
+    def test_empty_flow_set(self):
+        net, _, _ = _net_and_paths()
+        sim = self._assert_bitwise(net, [], [])
+        assert sim.rounds_used == 0
+
+    def test_staggered_multi_round_volumes(self):
+        net = LinkNetwork(Torus((8, 2)), link_bandwidth=2.0)
+        from repro.experiments.pairing import pairing_path_matrix
+
+        pm = pairing_path_matrix(net.topology)
+        vols = [1.0 + 0.25 * i for i in range(len(pm))]
+        sim = self._assert_bitwise(net, pm, vols)
+        assert sim.rounds_used > 1
+
+    def test_too_few_rounds_raise_in_both(self):
+        net, p01, p12 = _net_and_paths()
+        args = (net, [p01, p12, p01], [1.0, 5.0, 2.0])
+        ref = ScalarFluidSimulation(*args)
+        ref.solve()
+        assert ref.rounds_used > 1
+        match = r"did not converge within 1 rounds \(\d+ flows unfinished\)"
+        for sim in (FluidSimulation(*args), ScalarFluidSimulation(*args)):
+            with pytest.raises(RuntimeError, match=match):
+                sim.solve(max_rounds=1)

@@ -19,8 +19,9 @@ from repro.netsim.fairness import (
     max_min_fair_rates,
     stacked_max_min_fair_rates,
 )
-from repro.netsim.fluid import FluidSimulation, StackedFluidSimulation
+from repro.netsim.fluid import StackedFluidSimulation
 from repro.netsim.stacked import StackedPathMatrix, segment_min
+from tests.oracles.scalar_fluid import ScalarFluidSimulation
 
 
 def _paths(*lists):
@@ -437,7 +438,7 @@ class TestStackedFluid:
         stack = StackedPathMatrix.from_scenarios([(pm, caps, None)])
         mk, comp, init = StackedFluidSimulation(stack, vols).solve()
         net = types.SimpleNamespace(capacities=caps)
-        smk, scomp, sinit = FluidSimulation(net, pm, vols).solve()
+        smk, scomp, sinit = ScalarFluidSimulation(net, pm, vols).solve()
         assert float(mk[0]) == smk
         assert comp.tobytes() == scomp.tobytes()
         assert init.tobytes() == sinit.tobytes()

@@ -8,8 +8,7 @@ to, bit for bit:
 
 * :func:`pairing_result` routes each antipodal pair on its own with
   :func:`repro.netsim.routing.dimension_ordered_route` and runs the
-  scalar :class:`~repro.netsim.fluid.FluidSimulation` on the scalar
-  water-fill;
+  scalar fluid loop of :mod:`tests.oracles.scalar_fluid`;
 * :func:`fault_scenario_row` applies the failure draw with
   ``LinkNetwork.with_faults``, re-routes each pair the faults touch
   with the scalar :func:`~repro.netsim.routing.fault_aware_route`, and
@@ -32,12 +31,12 @@ from repro.faults import (
     random_link_failures,
 )
 from repro.netsim.batchroute import PathMatrix
-from repro.netsim.fluid import FluidSimulation
 from repro.netsim.network import LinkNetwork
 from repro.netsim.routing import dimension_ordered_route, fault_aware_route
 from repro.netsim.traffic import bisection_pairing
 
-from .scalar_water_fill import scalar_fluid, scalar_max_min_fair_rates
+from .scalar_fluid import ScalarFluidSimulation
+from .scalar_water_fill import scalar_max_min_fair_rates
 
 
 def pairing_result(
@@ -53,10 +52,9 @@ def pairing_result(
         for s, d in bisection_pairing(torus)
     ]
     volume = params.volume_per_pair_gb
-    with scalar_fluid():
-        makespan, _, rates = FluidSimulation(
-            net, paths, [volume] * len(paths)
-        ).solve()
+    makespan, _, rates = ScalarFluidSimulation(
+        net, paths, [volume] * len(paths)
+    ).solve()
     return PairingResult(
         geometry=geometry,
         time_seconds=makespan,

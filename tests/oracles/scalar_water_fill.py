@@ -8,20 +8,17 @@ suite checks the kernel against itself: per-link active-flow counts are
 an ``np.bincount`` over the active flows' gathered link entries, and
 each round's freeze test is a second bincount over their flow-id
 companion.  It emits the same ``netsim.fairness`` counters as the
-production entry, so engines swapped onto it can be compared counter
-for counter; :func:`scalar_fluid` runs the scalar
-:class:`~repro.netsim.fluid.FluidSimulation` on it.
+production entry, so engines run on it can be compared counter for
+counter; the scalar fluid loop of :mod:`tests.oracles.scalar_fluid`
+solves every round with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
-import repro.netsim.fluid as fluid_mod
 from repro import contracts, observability
 from repro.netsim.batchroute import PathMatrix
 
@@ -163,15 +160,3 @@ def scalar_max_min_fair_rates(
     if return_bottlenecks:
         return rates, np.flatnonzero(bottle)
     return rates
-
-
-@contextmanager
-def scalar_fluid():
-    """Run :class:`~repro.netsim.fluid.FluidSimulation` on this oracle.
-
-    A context manager rather than the ``monkeypatch`` fixture, so it is
-    safe inside hypothesis ``@given`` tests.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fluid_mod, "max_min_fair_rates", scalar_max_min_fair_rates)
-        yield

@@ -37,14 +37,12 @@ from repro.netsim.batchroute import (
     fault_capacity_plane,
 )
 from repro.netsim.fairness import stacked_max_min_fair_rates
-from repro.netsim.fluid import FluidSimulation, StackedFluidSimulation
+from repro.netsim.fluid import StackedFluidSimulation
 from repro.netsim.network import LinkNetwork
 from repro.netsim.stacked import StackedPathMatrix
 from repro.topology.torus import Torus
-from tests.oracles.scalar_water_fill import (
-    scalar_fluid,
-    scalar_max_min_fair_rates,
-)
+from tests.oracles.scalar_fluid import ScalarFluidSimulation
+from tests.oracles.scalar_water_fill import scalar_max_min_fair_rates
 
 dims_strategy = st.lists(
     st.integers(min_value=1, max_value=6), min_size=1, max_size=3
@@ -362,8 +360,7 @@ class TestStackedFluidEquivalence:
             else:
                 sub, svol = pm, volumes[s]
             net = types.SimpleNamespace(capacities=caps)
-            with scalar_fluid():
-                smk, scomp, sinit = FluidSimulation(net, sub, svol).solve()
+            smk, scomp, sinit = ScalarFluidSimulation(net, sub, svol).solve()
             assert float(makespans[s]) == smk
             if active is not None:
                 assert completions[fs][active].tobytes() == scomp.tobytes()
