@@ -237,8 +237,9 @@ class FaultScenarioRow:
     degraded: DegradedResult | None = None
 
 
-# Worker-side memo for the fluid scenario tasks: geometry dims ->
-# (bgq torus, LinkNetwork, undirected edges, antipodal src/dst arrays).
+# Worker-side memo for the fluid scenario tasks: (geometry dims, link
+# bandwidth) -> (bgq torus, LinkNetwork, undirected edges, vertex list,
+# antipodal src/dst arrays, healthy antipodal routes by tie rule).
 _FLUID_CACHE: dict[tuple, tuple] = {}
 
 
@@ -251,7 +252,7 @@ def _fluid_net_for(dims: tuple[int, ...], link_bandwidth: float) -> tuple:
         edges = [(u, v) for u, v, _ in torus.edges()]
         src = np.arange(torus.num_vertices, dtype=np.int64)
         dst = _antipode_indices(torus)
-        entry = (torus, net, edges, src, dst)
+        entry = (torus, net, edges, list(torus.vertices()), src, dst, {})
         _FLUID_CACHE[key] = entry
     return entry
 
@@ -270,7 +271,8 @@ def _fluid_scenario_block(
 
     Groups the block's scenarios by ``(dims, link_bandwidth, tie)``
     (one group per geometry in practice), routes the healthy antipodal
-    pairing once per group, builds each scenario's fault-masked paths
+    pairing once per group and process (memoized with the geometry's
+    network), builds each scenario's fault-masked paths
     and capacity plane, stacks them into a
     :class:`~repro.netsim.stacked.StackedPathMatrix`, and solves every
     scenario's max-min rates in a single
@@ -286,11 +288,14 @@ def _fluid_scenario_block(
         dims, _k, _trial, _seed, link_bandwidth, tie = task
         groups.setdefault((dims, link_bandwidth, tie), []).append(i)
     for (dims, link_bandwidth, tie), idxs in groups.items():
-        torus, net, edges, src, dst = _fluid_net_for(
-            dims, link_bandwidth
+        torus, net, edges, verts, src, dst, healthy_by_tie = (
+            _fluid_net_for(dims, link_bandwidth)
         )
-        healthy = batch_dimension_ordered_routes(torus, src, dst, tie=tie)
-        verts = list(torus.vertices())
+        healthy = healthy_by_tie.get(tie)
+        if healthy is None:
+            healthy = healthy_by_tie[tie] = batch_dimension_ordered_routes(
+                torus, src, dst, tie=tie
+            )
         scenarios = []
         metas = []
         for i in idxs:

@@ -271,47 +271,47 @@ def _water_fill_block(
     if demands is not None:
         demands = demands[f0:f1]
 
-    # The unfrozen flows and their block-local entries, compacted as
-    # flows freeze.
-    live = np.flatnonzero(unfrozen)
-    live_lengths = lengths[live]
-    entries = stack.link_ids[stack.offsets[f0] : stack.offsets[f1]]
-    if live_lengths.sum() < len(entries):
-        entries = entries[np.repeat(unfrozen, lengths)]
-    # l0 is a Python int, so the ids stay int32; an np.int64 offset
-    # would promote this block-sized copy back to int64.
-    live_links = entries - l0
-    if not capacities.all():
+    # The unfrozen flows ("rows") and their block-local link ids.  Rows
+    # stay in place behind the ``alive`` mask as they freeze; the
+    # arrays are compacted only once at most half the held entries are
+    # live.  One intp copy of the ids means no gather casts its index.
+    rows = np.flatnonzero(unfrozen)
+    row_lengths = lengths[rows]
+    ids = stack.link_ids[stack.offsets[f0] : stack.offsets[f1]]
+    if row_lengths.sum() < len(ids):
+        ids = ids[np.repeat(unfrozen, lengths)]
+    ids = np.subtract(ids, l0, dtype=np.intp)
+    # Link loads as exact float integers: frozen flows' entries are
+    # subtracted, and the ratio and drop need no int->float cast.
+    counts = np.zeros(len(capacities), dtype=float)
+    np.add.at(counts, ids, 1.0)
+    if not capacities.all() and ((capacities == 0) & (counts > 0)).any():
         # A flow crossing a zero-capacity (failed) link must have been
         # rerouted before rates are solved.
-        entry_dead = capacities[live_links] == 0
-        if entry_dead.any():
-            row_ends = np.cumsum(live_lengths)
-            pos = np.searchsorted(row_ends, np.argmax(entry_dead), "right")
-            raise _dead_link_error(stack, f0 + int(live[pos]))
+        pos = np.searchsorted(
+            np.cumsum(row_lengths), np.argmax(capacities[ids] == 0), "right"
+        )
+        raise _dead_link_error(stack, f0 + int(rows[pos]))
 
-    cap_rem = capacities.copy()
-    threshold = _EPS * capacities
+    # An unused link holds +inf headroom: its ratio is inf/0 = inf, its
+    # drop 0 * inc = 0, and it never saturates.
+    cap_rem = np.where(counts > 0, capacities, np.inf)
     fill = np.zeros(hi - lo, dtype=float)
-    # Link loads are counted once; frozen flows' entries are then
-    # subtracted, which keeps the integer counts exact.
-    counts = np.zeros(len(capacities), dtype=np.int64)
-    np.add.at(counts, live_links, 1)
     # One link-length buffer holds each round's headroom ratio, then its
-    # capacity drop.
+    # capacity drop, then its saturation threshold.
     work = np.empty(len(capacities), dtype=float)
     scen_links = np.diff(link_base)
+    alive = np.ones(len(rows), dtype=bool)
+    n_alive = len(rows)
+    live_entries = len(ids)
+    row_starts = np.cumsum(row_lengths) - row_lengths
     rounds_done = 0
     # Guard: each round freezes at least one flow per live scenario.
-    for _round in range(len(live) + 1):
-        if not live.size:
+    for _round in range(len(rows) + 1):
+        if not n_alive:
             break
         rounds_done += 1
-        used = counts > 0
-        # Per-link headroom ratio; unused links are +inf so the segment
-        # minimum sees exactly the used links' cap_rem/counts set.
-        work.fill(np.inf)
-        np.divide(cap_rem, counts, out=work, where=used)
+        np.divide(cap_rem, counts, out=work)
         inc = segment_min(work, link_base)
         if demands is not None:
             head = np.where(unfrozen, demands - fill[flow_scn], np.inf)
@@ -321,29 +321,72 @@ def _water_fill_block(
         # no-ops and the scenario stays bit-frozen.
         inc[~np.isfinite(inc)] = 0.0
         fill += inc
-        np.multiply(counts, np.repeat(inc, scen_links), out=work)
+        # A one-scenario block (each fault scenario, and the largest
+        # pairing geometries) drops by a scalar: no link-length
+        # temporary, which would set the pairing solve's peak.
+        np.multiply(
+            counts,
+            inc[0] if len(inc) == 1 else np.repeat(inc, scen_links),
+            out=work,
+        )
         np.subtract(cap_rem, work, out=cap_rem)
-        saturated = used & (cap_rem <= threshold)
+        np.multiply(capacities, _EPS, out=work)
+        saturated = cap_rem <= work
         if bottle is not None:
             bottle |= saturated
-        row_starts = np.cumsum(live_lengths) - live_lengths
-        hit = np.logical_or.reduceat(saturated[live_links], row_starts)
-        live_fill = fill[flow_scn[live]]
+        # A frozen row's entries may cross a link that saturates later,
+        # so the freeze test is masked by ``alive``.
+        hit = _crossing_rows(saturated, ids, row_starts, n_alive)
+        hit &= alive
         if demands is not None:
-            hit |= live_fill >= demands[live] - _EPS
-        done = live[hit]
-        rates[done] = live_fill[hit]
+            hit |= alive & (fill[flow_scn[rows]] >= demands[rows] - _EPS)
+        frozen = np.flatnonzero(hit)
+        done = rows[frozen]
+        rates[done] = fill[flow_scn[done]]
         unfrozen[done] = False
-        keep = ~hit
-        if keep.any():
-            gone = np.repeat(hit, live_lengths)
-            np.subtract.at(counts, live_links[gone], 1)
-            live_links = live_links[~gone]
-        live = live[keep]
-        live_lengths = live_lengths[keep]
-    if live.size:  # pragma: no cover - defensive
-        rates[live] = fill[flow_scn[live]]
+        alive[frozen] = False
+        n_alive -= len(frozen)
+        if not n_alive:
+            break
+        # The frozen rows' entries, gathered from their ranges.
+        lens = row_lengths[frozen]
+        shift = row_starts[frozen] - (np.cumsum(lens) - lens)
+        gone = ids[np.repeat(shift, lens) + np.arange(lens.sum())]
+        np.subtract.at(counts, gone, 1.0)
+        cap_rem[gone[counts[gone] == 0]] = np.inf
+        live_entries -= len(gone)
+        if 2 * live_entries <= len(ids):
+            ids = ids[np.repeat(alive, row_lengths)]
+            rows = rows[alive]
+            row_lengths = row_lengths[alive]
+            row_starts = np.cumsum(row_lengths) - row_lengths
+            alive = np.ones(len(rows), dtype=bool)
+    if n_alive:  # pragma: no cover - defensive
+        rest = rows[alive]
+        rates[rest] = fill[flow_scn[rest]]
     return rounds_done
+
+
+def _crossing_rows(
+    saturated: np.ndarray, ids: np.ndarray, row_starts: np.ndarray,
+    n_alive: int,
+) -> np.ndarray:
+    """Which held rows cross a *saturated* link.
+
+    A round that hits fewer entries than there are live rows maps the
+    hit entries to their rows; otherwise (a round that freezes most
+    rows) one ``logical_or.reduceat`` over the entries is cheaper.  The
+    entry-sized mask dies here, before the caller's per-row temporaries.
+    """
+    sat_entries = saturated[ids]
+    if np.count_nonzero(sat_entries) >= n_alive:
+        return np.logical_or.reduceat(sat_entries, row_starts)
+    hit = np.zeros(len(row_starts), dtype=bool)
+    # Rows are non-empty, so row_starts strictly increases.
+    hit[np.searchsorted(
+        row_starts, np.flatnonzero(sat_entries), "right"
+    ) - 1] = True
+    return hit
 
 
 def _dead_link_error(stack: StackedPathMatrix, fid: int) -> ValueError:

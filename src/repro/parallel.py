@@ -156,13 +156,21 @@ def split_seeds(seed: int, n: int) -> tuple[int, ...]:
 #: timeout: only a pool worker can be timed out.
 _SMALL_SWEEP_TASKS = 32
 
-#: Scheduler cost model, calibrated coarse on purpose: these only have
-#: to get the *sign* of "does a pool pay for itself" right, and tests
-#: monkeypatch them to force either branch deterministically.
-#: Estimated cost of spawning one pool worker (fork + warmup).
-_POOL_SPAWN_S = 0.015
-#: Estimated per-block dispatch cost (pickle + queue round-trip).
-_DISPATCH_S = 0.002
+#: Scheduler cost model: these only have to get the *sign* of "does a
+#: pool pay for itself" right, and tests monkeypatch them to force
+#: either branch deterministically.  Both are measured on the fault
+#: grid's pooled rest (Mira's (2,2,2,2), 42 tasks in 7 blocks on 2
+#: forked workers, 2-CPU x86-64 Linux, 12 passes): the two workers'
+#: first blocks started a median 3.9 and 4.1 ms after the probe ended
+#: (3.3-15 ms over all passes), and a worker started its next block a
+#: median 0.5 ms (0.3-4.4 ms) after finishing one.  Guesses of 15 ms
+#: and 2 ms declined that pool at 2 ms per task, though the pooled
+#: pass took 78 ms against 115 ms in-process (medians of 15
+#: interleaved passes).
+#: Cost of spawning one pool worker (fork + warmup).
+_POOL_SPAWN_S = 0.004
+#: Per-block dispatch cost (pickle + queue round-trip).
+_DISPATCH_S = 0.0005
 #: Adaptive chunk sizing aims for blocks of roughly this wall-clock.
 _TARGET_BLOCK_S = 0.25
 

@@ -267,3 +267,36 @@ class TestFluidFaultSweep:
             fluid_fault_sweep(self.GEO, max_failures=-1)
         with pytest.raises(ValueError):
             fluid_fault_sweep(self.GEO, trials=0)
+
+    def test_blocks_of_one_geometry_route_healthy_pattern_once(
+        self, monkeypatch
+    ):
+        """The healthy antipodal routes are memoized per geometry and
+        tie rule: two blocks of one geometry route them once, and the
+        rows stay equal to the per-scenario oracle's."""
+        from repro.experiments import faultstudy as fs
+        from tests.oracles.scalar_sweeps import fault_scenario_row
+
+        routed = []
+        real = fs.batch_dimension_ordered_routes
+
+        def counting(*args, **kwargs):
+            routed.append(kwargs.get("tie"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fs, "_FLUID_CACHE", {})
+        monkeypatch.setattr(fs, "batch_dimension_ordered_routes", counting)
+        dims = PartitionGeometry((2, 1, 1, 1)).dims
+        tasks = [
+            (dims, k, t, 1000 * k + t, 2.0, tie)
+            for tie in ("parity", "positive")
+            for k in range(3)
+            for t in range(2)
+        ]
+        rows = (
+            fs._fluid_scenario_block(tasks[:3])
+            + fs._fluid_scenario_block(tasks[3:6])
+            + fs._fluid_scenario_block(tasks[6:])
+        )
+        assert routed == ["parity", "positive"]
+        assert rows == [fault_scenario_row(t) for t in tasks]

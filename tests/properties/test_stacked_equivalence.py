@@ -32,6 +32,7 @@ from repro import observability
 from repro.faults import FaultSet
 from repro.netsim import fairness
 from repro.netsim.batchroute import (
+    PathMatrix,
     batch_dimension_ordered_routes,
     batch_fault_aware_routes,
     fault_capacity_plane,
@@ -216,6 +217,101 @@ def _solve_per_bound(stack, solve, monkeypatch):
     return runs
 
 
+def _hand(paths, caps, active=None):
+    """One hand-built scenario: link-id paths over a capacity plane."""
+    return (
+        PathMatrix.from_paths(paths),
+        np.asarray(caps, dtype=float),
+        None if active is None else np.asarray(active, dtype=np.int64),
+    )
+
+
+def _case_sparse():
+    """Uneven capacities under random pairs: most rounds saturate one
+    link and freeze a few flows."""
+    rng = np.random.default_rng(7)
+    pieces = []
+    for dims, n_pairs in (((6, 6), 60), ((4, 3), 20)):
+        torus = Torus(dims)
+        n = torus.num_vertices
+        pm = batch_dimension_ordered_routes(
+            torus, rng.integers(0, n, n_pairs), rng.integers(0, n, n_pairs)
+        )
+        caps = rng.uniform(0.5, 4.0, size=len(LinkNetwork(torus).capacities))
+        pieces.append((pm, caps, None))
+    return pieces
+
+
+def _case_all_freeze():
+    """The antipodal pairing on uniform links: one round freezes every
+    flow."""
+    torus = Torus((4, 4))
+    src = np.arange(torus.num_vertices, dtype=np.int64)
+    coords = np.stack(np.unravel_index(src, torus.dims), axis=1)
+    anti = (coords + 2) % 4
+    dst = np.ravel_multi_index(tuple(anti.T), torus.dims).astype(np.int64)
+    return [_solve_pieces(torus, src, dst, None)]
+
+
+def _case_compaction():
+    """Ten two-link flows share a thin link and freeze in round one;
+    the two one-link flows left hold under half the entries."""
+    paths = [[0, 1 + i] for i in range(10)] + [[11], [11]]
+    caps = [1.0] + [100.0] * 10 + [50.0]
+    return [_hand(paths, caps)]
+
+
+def _case_count_to_zero():
+    """Flow 0 alone loads link 0, which saturates at exactly 0.0 in
+    round one and is then unused while flows 1-3 stay live; flow 0's
+    row is still held (no compaction) when its link 1 saturates in
+    round two."""
+    paths = [[0, 1], [1, 2, 3], [1, 4, 5], [1, 6, 7], [8], [8, 9]]
+    caps = [1.0, 10.0] + [100.0] * 6 + [30.0, 100.0]
+    return [_hand(paths, caps)]
+
+
+def _case_zero_capacity():
+    """Zero-capacity links that no active flow crosses: link 3 is
+    unused, links 4 and 5 carry only the inactive flow 3."""
+    paths = [[0, 1], [1, 2], [2], [4, 1, 5]]
+    caps = [2.0, 3.0, 1.5, 0.0, 0.0, 0.0]
+    return [_hand(paths, caps, active=[0, 1, 2])]
+
+
+#: Hand-built stacks that drive each branch of the water-fill kernel.
+KERNEL_CASES = {
+    "sparse": _case_sparse,
+    "all_freeze": _case_all_freeze,
+    "compaction": _case_compaction,
+    "count_to_zero": _case_count_to_zero,
+    "zero_capacity": _case_zero_capacity,
+}
+
+
+@contextmanager
+def _freeze_tests(events):
+    """Record each round's freeze test of the water-fill kernel as
+    ``(block, reduceat_branch, held_entries)``."""
+    real_block = fairness._water_fill_block
+    real_rows = fairness._crossing_rows
+    blocks = []
+
+    def block(*args):
+        blocks.append(args[1])
+        return real_block(*args)
+
+    def rows(saturated, ids, row_starts, n_alive):
+        dense = np.count_nonzero(saturated[ids]) >= n_alive
+        events.append((len(blocks), dense, len(ids)))
+        return real_rows(saturated, ids, row_starts, n_alive)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairness, "_water_fill_block", block)
+        mp.setattr(fairness, "_crossing_rows", rows)
+        yield
+
+
 class TestStackedFairnessEquivalence:
     @given(scenarios_strategy)
     @settings(max_examples=60, deadline=None)
@@ -272,6 +368,83 @@ class TestStackedFairnessEquivalence:
             scalar = scalar_max_min_fair_rates(pm, caps, active=active)
             got = flat[fs] if active is None else flat[fs][active]
             assert got.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("with_demands", [False, True])
+    def test_kernel_branches_bitwise(self, case, with_demands):
+        """Each hand-built stack matches the oracle bit for bit, rates,
+        bottlenecks and ``netsim.fairness`` counters, and (without
+        demands) takes the kernel branch it was built for."""
+        pieces = KERNEL_CASES[case]()
+        stack = StackedPathMatrix.from_scenarios(pieces)
+        demands = None
+        if with_demands:
+            demands = np.random.default_rng(3).uniform(
+                0.1, 3.0, size=stack.num_flows
+            )
+        events = []
+        with _counters() as got, _freeze_tests(events):
+            flat, bottlenecks = stacked_max_min_fair_rates(
+                stack, demands, return_bottlenecks=True
+            )
+        rounds, flows = 0, 0
+        for s, (pm, caps, active) in enumerate(pieces):
+            fs = stack.flow_slice(s)
+            lb = int(stack.link_base[s])
+            hb = int(stack.link_base[s + 1])
+            local_b = bottlenecks[
+                (bottlenecks >= lb) & (bottlenecks < hb)
+            ] - lb
+            with _counters() as ref:
+                scalar_rates, scalar_b = scalar_max_min_fair_rates(
+                    pm, caps, None if demands is None else demands[fs],
+                    active=active, return_bottlenecks=True,
+                )
+            rounds = max(rounds, ref.get("netsim.fairness.rounds", 0))
+            flows += ref.get("netsim.fairness.flows", 0)
+            rates = flat[fs] if active is None else flat[fs][active]
+            assert rates.tobytes() == scalar_rates.tobytes()
+            assert local_b.tobytes() == scalar_b.tobytes()
+        assert got["netsim.fairness.rounds"] == rounds
+        assert got["netsim.fairness.flows"] == flows
+        if with_demands:
+            return
+        dense = [d for _, d, _ in events]
+        compacted = any(
+            b0 == b1 and h1 < h0
+            for (b0, _, h0), (b1, _, h1) in zip(events, events[1:])
+        )
+        if case == "sparse":
+            assert rounds > 2 and not all(dense)
+        elif case == "all_freeze":
+            assert rounds == 1 and all(dense)
+        elif case == "compaction":
+            assert compacted
+        elif case == "count_to_zero":
+            # Round two's freeze test still holds flow 0's row.
+            assert rounds == 3 and events[1][2] == events[0][2]
+
+    def test_dead_link_error_beside_unused_zero_capacity(self):
+        """A zero-capacity link no flow uses solves; one an active flow
+        crosses still raises, naming the flow, its scenario and its
+        dead links."""
+        ok = _case_zero_capacity()[0]
+        bad = _hand([[0], [1, 3, 4]], [1.0, 1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError) as scalar_err:
+            scalar_max_min_fair_rates(bad[0], bad[1])
+        with pytest.raises(ValueError) as err:
+            stacked_max_min_fair_rates(StackedPathMatrix.from_scenarios([bad]))
+        assert str(err.value) == str(scalar_err.value)
+        assert "flow 1 crosses failed (zero-capacity) link(s) [3, 4]" in str(
+            err.value
+        )
+        with pytest.raises(
+            ValueError, match=r"flow 1 of scenario 1 crosses failed "
+            r"\(zero-capacity\) link\(s\) \[3, 4\]",
+        ):
+            stacked_max_min_fair_rates(
+                StackedPathMatrix.from_scenarios([ok, bad])
+            )
 
 
 class TestStackedEmptyPathInterleaving:

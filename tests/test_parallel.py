@@ -432,6 +432,16 @@ class TestAdaptiveScheduling:
         _size, workers = plan
         assert workers == 4
 
+    def test_plan_pools_the_fault_grid_rest(self):
+        """The fault grid's rest after its probe (42 of 49 scenarios)
+        at the stacked water-fill's 2 ms per task: the measured spawn
+        and dispatch costs make two workers pay."""
+        from repro.experiments.faultstudy import _fluid_scenario
+        from repro.parallel import _plan_adaptive, block_runner_for
+
+        runner = block_runner_for(_fluid_scenario)
+        assert _plan_adaptive(42, 2, runner, per_task_s=0.002) == (6, 2)
+
     def test_plan_respects_runner_block_cap(self):
         from repro.parallel import BlockRunner, _plan_adaptive
 
