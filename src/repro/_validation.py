@@ -10,7 +10,7 @@ messages stay uniform across the package.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Any
 
 __all__ = [
@@ -106,8 +106,3 @@ def check_subset_size(t: Any, num_vertices: int, name: str = "t") -> int:
     if t > num_vertices:
         raise ValueError(f"{name}={t} exceeds the number of vertices ({num_vertices})")
     return t
-
-
-def as_sorted_desc(dims: Sequence[int]) -> tuple[int, ...]:
-    """Return *dims* sorted in descending order (paper's canonical form)."""
-    return tuple(sorted(dims, reverse=True))

@@ -145,7 +145,7 @@ def get_flag(name: str) -> bool:
     """A flag knob's value: default when unset, else shared truthiness.
 
     An empty (or all-whitespace) value counts as *unset*, not as
-    "off" — ``REPRO_SHM= python ...`` has always meant "default".
+    "off" — ``REPRO_CHECK= python ...`` means "default".
     """
     raw = get_raw(name)
     if raw is None or not raw.strip():
@@ -183,11 +183,6 @@ register(
     "Observability collection: falsey = off, truthy = collect "
     "in-memory, any other value = collect and export JSONL to that "
     "path (repro.observability).",
-)
-register(
-    "REPRO_SHM", "flag", True,
-    "Zero-copy shared-memory sweep transport; REPRO_SHM=0 forces the "
-    "classic pickle pipe (repro.sharedmem).",
 )
 register(
     "REPRO_CHECK", "flag", False,

@@ -96,7 +96,6 @@ def design_search(
     jobs: int | None = 1,
     fluid_check_top: int = 0,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[DesignCandidate]:
     """Enumerate and rank machine geometries against a baseline.
 
@@ -127,10 +126,6 @@ def design_search(
         Optional JSONL path: completed candidate scores are journaled
         and a killed search resumes from them (see
         :mod:`repro.resilience`).
-    transport:
-        How parallel blocks move to workers — ``"auto"`` (default),
-        ``"shm"`` (zero-copy shared memory), or ``"pickle"``; see
-        :mod:`repro.sharedmem`.
 
     Returns
     -------
@@ -172,7 +167,6 @@ def design_search(
             [(dims, size_key) for dims in shapes],
             jobs=jobs,
             checkpoint=checkpoint,
-            transport=transport,
         )
 
     candidates: list[DesignCandidate] = []

@@ -270,7 +270,6 @@ def run_pairing_sweep(
     params: PairingParameters | None = None,
     jobs: int | None = 1,
     checkpoint=None,
-    transport: str | None = None,
 ) -> list[PairingResult]:
     """Run the pairing benchmark over many geometries.
 
@@ -281,8 +280,6 @@ def run_pairing_sweep(
     back in *geometries* order and are bit-identical to the serial path.
     *checkpoint* (a JSONL path) journals completed geometries and
     resumes a killed sweep from them (see :mod:`repro.resilience`).
-    *transport* selects how parallel blocks move to workers
-    (``"auto"``/``"shm"``/``"pickle"``, see :mod:`repro.sharedmem`).
     """
     if params is None:
         params = PairingParameters()
@@ -294,5 +291,4 @@ def run_pairing_sweep(
             [(g, params) for g in geometries],
             jobs=jobs,
             checkpoint=checkpoint,
-            transport=transport,
         )

@@ -51,9 +51,7 @@ def _per_line_cut(side: int, dim: int) -> int:
         return 0
     if dim == 2:
         return 1  # single edge between the two layers
-    if side == 1 or side < dim:
-        return 2
-    return 0
+    return 2
 
 
 def cuboid_perimeter(dims: Sequence[int], sides: Sequence[int]) -> int:

@@ -22,6 +22,7 @@ import math
 from collections.abc import Sequence
 
 from .._validation import check_dims, check_subset_size
+from .cuboids import _per_line_cut
 
 __all__ = [
     "weighted_cuboid_perimeter",
@@ -29,16 +30,6 @@ __all__ = [
     "weighted_torus_bisection",
     "dragonfly_group_cut",
 ]
-
-
-def _per_line_cut(side: int, dim: int) -> int:
-    if side > dim:
-        raise ValueError(f"cuboid side {side} exceeds dimension {dim}")
-    if side == dim or dim == 1:
-        return 0
-    if dim == 2:
-        return 1
-    return 2
 
 
 def _check_weights(

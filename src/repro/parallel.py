@@ -41,7 +41,7 @@ from typing import Any, TypeVar
 
 import numpy as np
 
-from . import env, observability, sharedmem
+from . import env, observability
 from ._validation import check_nonnegative_int, check_positive_int
 from .resilience import (
     ResiliencePolicy,
@@ -310,34 +310,17 @@ def _run_chunk(
 @dataclass(frozen=True)
 class _PoolChunk:
     """Picklable pool entry point: a chunk's results plus the worker's
-    cumulative metric snapshot.
-
-    The chunk may arrive as a :class:`repro.sharedmem.ShmPayload`
-    (zero-copy views over the parent's segments); with ``shm`` large
-    result buffers travel back through worker-owned segments, which
-    the parent materializes and unlinks.
-    """
+    cumulative metric snapshot.  Tasks and results travel through the
+    executor's own pickle pipe."""
 
     fn: Callable[[Any], Any]
     block_fn: Callable[[Sequence[Any]], Sequence[Any]] | None
-    shm: bool
 
     def __call__(
-        self, indices: Sequence[int], payload: Any
-    ) -> tuple[Any, observability.TraceSnapshot]:
-        chunk = sharedmem.shm_loads(payload)
-        values: Any = _run_chunk(self.fn, self.block_fn, indices, chunk)
-        if self.shm:
-            values = sharedmem.maybe_shm_dumps(values)
+        self, indices: Sequence[int], chunk: Sequence[Any]
+    ) -> tuple[list[Any], observability.TraceSnapshot]:
+        values = _run_chunk(self.fn, self.block_fn, indices, chunk)
         return values, observability.worker_snapshot()
-
-
-def _pool_worker_init() -> None:
-    """Pool initializer: zero fork-inherited observability counters and
-    drop fork-inherited shared-segment mappings (workers re-attach on
-    demand against their own cache)."""
-    observability.reset_worker()
-    sharedmem.detach_segments()
 
 
 _PENDING = object()
@@ -503,7 +486,6 @@ def _pool_generation(
     sweep: _Sweep,
     executor: Any,
     chunks: list[_Chunk],
-    shm: bool,
     snapshots: dict[int, observability.TraceSnapshot],
 ) -> None:
     """Run *chunks* on one pool until every one is done or dropped.
@@ -511,22 +493,17 @@ def _pool_generation(
     A chunk that raised is resubmitted as :meth:`_Sweep.failed` plans.
     Raises :class:`_PoolRestart` when a worker died or a task timed
     out: the pool must go.  The executor is shut down on every exit.
-    With the shared-memory transport the generation's chunks live in
-    one parent-owned segment pool, unlinked when the generation
-    completes **or** dies.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     timeout = sweep.policy.task_timeout if sweep.policy else None
-    tx = sharedmem.SharedArrayPool() if shm else None
 
     def submit(chunk: _Chunk) -> tuple[_Chunk, Any]:
         indices, block_fn = chunk
-        payload: Any = [sweep.tasks[i] for i in indices]
-        if tx is not None:
-            payload = tx.dumps(payload)
-        task = _PoolChunk(sweep.fn, block_fn, shm)
-        return chunk, executor.submit(task, indices, payload)
+        task = _PoolChunk(sweep.fn, block_fn)
+        return chunk, executor.submit(
+            task, indices, [sweep.tasks[i] for i in indices]
+        )
 
     queue: deque[tuple[_Chunk, Any]] = deque()
     done = False
@@ -536,7 +513,6 @@ def _pool_generation(
             chunk, fut = queue.popleft()
             try:
                 values, snap = fut.result(timeout=timeout)
-                values = sharedmem.decode_result(values)
                 sweep.check(values, chunk)
             except BrokenProcessPool:
                 raise
@@ -564,20 +540,9 @@ def _pool_generation(
         raise _PoolRestart("worker process died") from None
     finally:
         executor.shutdown(wait=done, cancel_futures=True)
-        # Results nobody consumed may hold worker-owned segments.
-        for _chunk, fut in queue:
-            if fut.done() and not fut.cancelled() and (
-                fut.exception() is None
-            ):
-                sharedmem.release_payload(fut.result()[0])
-        if tx is not None:
-            observability.counter_add("parallel.shm_bytes", tx.bytes_used)
-            tx.unlink()
 
 
-def _run_pool(
-    sweep: _Sweep, size: int, workers: int, transport: str | None
-) -> str | None:
+def _run_pool(sweep: _Sweep, size: int, workers: int) -> str | None:
     """Run the pending tasks in a process pool, in chunks of *size*.
 
     The one place a pool is built: after a worker death or a timeout
@@ -589,7 +554,6 @@ def _run_pool(
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    shm = sharedmem.resolve_transport(transport) == "shm"
     max_rebuilds = (sweep.policy or ResiliencePolicy()).max_pool_rebuilds
     snapshots: dict[int, observability.TraceSnapshot] = {}
     rebuilds = 0
@@ -597,7 +561,8 @@ def _run_pool(
         while pending := sweep.pending():
             try:
                 executor = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_pool_worker_init
+                    max_workers=workers,
+                    initializer=observability.reset_worker,
                 )
             except (
                 ImportError, NotImplementedError, OSError, PermissionError
@@ -608,8 +573,7 @@ def _run_pool(
                 )
             try:
                 _pool_generation(
-                    sweep, executor, sweep.plan(pending, size), shm,
-                    snapshots,
+                    sweep, executor, sweep.plan(pending, size), snapshots
                 )
             except _PoolRestart as err:
                 rebuilds += 1
@@ -638,7 +602,6 @@ def sweep_map(
     *,
     policy: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike[str] | SweepCheckpoint | None = None,
-    transport: str | None = None,
 ) -> list[_R]:
     """Map *fn* over *tasks*, optionally across worker processes.
 
@@ -667,13 +630,6 @@ def sweep_map(
         :class:`repro.resilience.SweepCheckpoint`): completed task
         results are journaled as they finish and a restarted sweep
         resumes from them instead of recomputing.
-    transport:
-        How chunk payloads reach the workers: ``"shm"`` ships large
-        numpy buffers as zero-copy :mod:`repro.sharedmem` descriptors,
-        ``"pickle"`` uses the classic pipe, and ``None``/``"auto"``
-        (the default) picks shm whenever ``REPRO_SHM`` is not disabled
-        and the platform supports it.  Transport never changes
-        results — only how their bytes travel.
 
     Returns
     -------
@@ -726,7 +682,7 @@ def sweep_map(
             if workers > 1 and timeout is None:
                 size, workers = _probe(sweep, pending, workers)
             if workers > 1:
-                reason = _run_pool(sweep, size, workers, transport)
+                reason = _run_pool(sweep, size, workers)
                 if reason is not None:
                     warnings.warn(
                         f"{reason}; degrading to serial execution for the "

@@ -375,12 +375,8 @@ def resilient_sweep_map(
     *,
     policy: ResiliencePolicy | None = None,
     checkpoint: str | os.PathLike[str] | SweepCheckpoint | None = None,
-    transport: str | None = None,
 ) -> list[Any]:
     """Forward to :func:`repro.parallel.sweep_map` (same arguments)."""
     from .parallel import sweep_map  # late: parallel imports this module
 
-    return sweep_map(
-        fn, tasks, jobs, policy=policy, checkpoint=checkpoint,
-        transport=transport,
-    )
+    return sweep_map(fn, tasks, jobs, policy=policy, checkpoint=checkpoint)

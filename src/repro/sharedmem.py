@@ -21,12 +21,7 @@ This module provides the zero-copy alternative:
   descriptors;
 * :func:`shm_loads` reconstructs the payload in the worker with the
   buffers mapped **read-only, zero-copy** straight out of the shared
-  segments;
-* classes that register a codec (:func:`register_shared_codec`; see
-  ``PathMatrix.to_shared`` / ``StackedPathMatrix.from_shared``) are
-  reduced to their descriptor form explicitly, skipping both the byte
-  copy *and* their constructors' O(entries) revalidation on the worker
-  side.
+  segments.
 
 Lifecycle discipline
 --------------------
@@ -40,9 +35,13 @@ worker closes its mapping and the *parent* unlinks the segments after
 materializing the results (:func:`decode_result` copies them out — a
 checkpoint must journal contents, never segment names).
 
-``REPRO_SHM=0`` disables the transport everywhere (the pickle pipe is
-the oracle); platforms without a usable ``shared_memory``
-implementation degrade to pickle automatically.
+:func:`repro.parallel.sweep_map` no longer uses this module: every
+benchmarked sweep moved 0 bytes through it (EXPERIMENTS.md,
+"Shared-memory transport"), so pooled chunks travel through the
+executor's own pickle pipe.  The module stays only while the e2e
+benchmark's layer tracer names its callables (ROADMAP item 2).
+Platforms without a usable ``shared_memory`` implementation skip
+:func:`maybe_shm_dumps`.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from __future__ import annotations
 import io
 import os
 import pickle
-import warnings
 import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -58,8 +56,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-
-from . import env
 
 __all__ = [
     "ArrayDescriptor",
@@ -71,18 +67,11 @@ __all__ = [
     "attach_array",
     "detach_segments",
     "release_payload",
-    "register_shared_codec",
-    "shm_enabled",
     "shm_supported",
-    "resolve_transport",
     "active_segments",
     "SEGMENT_PREFIX",
     "MIN_SHARED_BYTES",
 ]
-
-#: Environment knob: ``REPRO_SHM=0`` disables the shared-memory
-#: transport, forcing the classic pickle pipe (the transport oracle).
-_SHM_ENV = "REPRO_SHM"
 
 #: Prefix of every segment name this module creates; the leak-checking
 #: test fixture (and :func:`active_segments`) key off it.
@@ -97,15 +86,6 @@ MIN_SHARED_BYTES = 64 * 1024
 _SLAB_BYTES = 8 * 1024 * 1024
 
 _ALIGN = 64
-
-
-def shm_enabled() -> bool:
-    """Whether the shared-memory transport is enabled.
-
-    Reads ``REPRO_SHM`` at call time; any of ``0``, ``false``, ``no``,
-    ``off`` (case-insensitive) disables it.
-    """
-    return env.get_flag(_SHM_ENV)
 
 
 _SUPPORTED: bool | None = None
@@ -130,33 +110,6 @@ def shm_supported() -> bool:
         except Exception:
             _SUPPORTED = False
     return _SUPPORTED
-
-
-def resolve_transport(transport: str | None) -> str:
-    """Normalize a transport request to ``"shm"`` or ``"pickle"``.
-
-    ``None``/``"auto"`` follows ``REPRO_SHM`` and platform support;
-    ``"shm"`` degrades (with a warning) when unsupported; ``"pickle"``
-    always honors the request.
-    """
-    if transport in (None, "auto"):
-        return "shm" if shm_enabled() and shm_supported() else "pickle"
-    if transport == "shm":
-        if not shm_supported():
-            warnings.warn(
-                "shared-memory transport requested but "
-                "multiprocessing.shared_memory is unusable here; "
-                "falling back to pickle",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "pickle"
-        return "shm"
-    if transport == "pickle":
-        return "pickle"
-    raise ValueError(
-        f"transport must be 'auto', 'shm', or 'pickle', got {transport!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -251,28 +204,6 @@ def attach_array(desc: ArrayDescriptor) -> np.ndarray:
     )
 
 
-# ----------------------------------------------------------------------
-# Shared codecs
-#
-# Types that know how to describe themselves as descriptors (PathMatrix,
-# StackedPathMatrix) register here; the pool's pickler reduces them to
-# ``cls.from_shared(handles)`` so the worker-side rebuild skips both the
-# byte copy and the constructor's O(entries) validation.
-
-_SHARED_CODECS: set[type] = set()
-
-
-def register_shared_codec(cls: type) -> None:
-    """Register *cls* (with ``to_shared``/``from_shared``) for
-    descriptor-form transport through :meth:`SharedArrayPool.dumps`."""
-    if not hasattr(cls, "to_shared") or not hasattr(cls, "from_shared"):
-        raise TypeError(
-            f"{cls.__name__} must define to_shared/from_shared to be a "
-            f"shared codec"
-        )
-    _SHARED_CODECS.add(cls)
-
-
 class _ShmPickler(pickle.Pickler):
     """Protocol-5 pickler diverting large buffers into a pool."""
 
@@ -281,14 +212,12 @@ class _ShmPickler(pickle.Pickler):
         file: io.BytesIO,
         pool: "SharedArrayPool",
         min_bytes: int,
-        codecs: bool,
     ):
         super().__init__(
             file, protocol=5, buffer_callback=self._buffer_cb
         )
         self._pool = pool
         self._min_bytes = min_bytes
-        self._codecs = codecs
         self.descriptors: list[ArrayDescriptor] = []
 
     def _buffer_cb(self, pbuf: pickle.PickleBuffer) -> bool:
@@ -300,14 +229,6 @@ class _ShmPickler(pickle.Pickler):
             return True
         self.descriptors.append(self._pool.put_buffer(raw))
         return False  # out-of-band: worker reads it from the segment
-
-    def reducer_override(self, obj: Any):
-        if self._codecs and type(obj) in _SHARED_CODECS:
-            return (
-                type(obj).from_shared,
-                (obj.to_shared(self._pool),),
-            )
-        return NotImplemented
 
 
 # ----------------------------------------------------------------------
@@ -440,22 +361,11 @@ class SharedArrayPool:
     # -- codec -------------------------------------------------------
 
     def dumps(
-        self,
-        obj: Any,
-        min_bytes: int = MIN_SHARED_BYTES,
-        *,
-        codecs: bool = True,
+        self, obj: Any, min_bytes: int = MIN_SHARED_BYTES
     ) -> ShmPayload:
-        """Pickle *obj* with its large buffers diverted into the pool.
-
-        With ``codecs=True`` registered types additionally travel as
-        explicit descriptor handles (see :func:`register_shared_codec`).
-        Worker-produced *result* payloads use ``codecs=False`` so the
-        parent can always materialize owned copies before the segments
-        are unlinked (:func:`decode_result`).
-        """
+        """Pickle *obj* with its large buffers diverted into the pool."""
         buf = io.BytesIO()
-        pickler = _ShmPickler(buf, self, min_bytes, codecs)
+        pickler = _ShmPickler(buf, self, min_bytes)
         pickler.dump(obj)
         return ShmPayload(
             data=buf.getvalue(), buffers=tuple(pickler.descriptors)
@@ -552,15 +462,14 @@ def maybe_shm_dumps(
     Returns *values* unchanged when no buffer clears *min_bytes* (the
     common case — sweep results are small row records); otherwise a
     :class:`ShmPayload` whose segments the parent must release after
-    :func:`decode_result`.  Codec reduction is disabled: results must
-    be materializable as owned copies (checkpoints journal contents,
-    never segment names).
+    :func:`decode_result`, which materializes owned copies
+    (checkpoints journal contents, never segment names).
     """
     if not shm_supported():
         return values
     pool = SharedArrayPool(owner=False)
     try:
-        payload = pool.dumps(values, min_bytes, codecs=False)
+        payload = pool.dumps(values, min_bytes)
     except Exception:
         pool.unlink()  # nothing downstream knows these names
         return values

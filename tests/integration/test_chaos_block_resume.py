@@ -28,24 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import sharedmem
 from repro.resilience import TEST_KILL_EXIT_CODE
-
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Chaos or not, /dev/shm must end every test as it began.
-
-    Guards the shared-memory transport's lifecycle discipline across
-    the three fates a dispatch generation can meet: normal completion,
-    a worker killed mid-block, and a BrokenProcessPool rebuild."""
-    if not sharedmem.shm_supported():
-        yield
-        return
-    before = sharedmem.active_segments()
-    yield
-    sharedmem.detach_segments()
-    assert sharedmem.active_segments() == before
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -206,22 +189,19 @@ def _square_block(xs) -> list[int]:
 
 @pytest.fixture
 def pooled_blocks(monkeypatch):
-    """Register two-task blocks for ``_square``/``_array_sum`` and make
-    the pool pay: two CPUs and zero modeled pool overhead, so a 10-task
-    sweep runs its first block in-process and the other four blocks in
-    a two-worker pool."""
+    """Register two-task blocks for ``_square`` and make the pool pay:
+    two CPUs and zero modeled pool overhead, so a 10-task sweep runs
+    its first block in-process and the other four blocks in a
+    two-worker pool."""
     import repro.parallel as parallel
 
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(parallel, "_SMALL_SWEEP_TASKS", 0)
     monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
     monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-    for fn, block_fn in ((_square, _square_block),
-                         (_array_sum, _array_sum_block)):
-        parallel.register_block_runner(fn, block_fn, max_block_tasks=2)
+    parallel.register_block_runner(_square, _square_block, max_block_tasks=2)
     yield
-    for fn in (_square, _array_sum):
-        parallel.unregister_block_runner(fn)
+    parallel.unregister_block_runner(_square)
 
 
 def _arm_kill(monkeypatch, tmp_path, index=4):
@@ -259,78 +239,19 @@ class TestBlockPoolWorkerDeath:
         assert marker.exists()
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport under chaos: segments must be reclaimed on
-# every exit path — normal completion, a worker killed mid-block (the
-# BrokenProcessPool rebuild), and the final degraded-serial fallback.
-# The autouse ``no_shm_leaks`` fixture asserts the invariant for every
-# test in this module; the tests below drive the transport through the
-# specific fates.
-
-
-def _array_sum(task):
-    _i, arr = task
-    return float(arr.sum())
-
-
-def _array_sum_block(tasks):
-    return [_array_sum(t) for t in tasks]
-
-
-def _array_tasks():
-    import numpy as np
-
-    # Each task carries a 160 KB plane, well past MIN_SHARED_BYTES, so
-    # every dispatched chunk genuinely creates shared segments.
-    tasks = [(i, np.full(20_000, float(i))) for i in range(10)]
-    expected = [float(arr.sum()) for _i, arr in tasks]
-    return tasks, expected
-
-
-@pytest.mark.skipif(
-    not sharedmem.shm_supported(),
-    reason="multiprocessing.shared_memory unusable on this platform",
-)
-class TestShmChaosCleanup:
-    def test_normal_completion_leaves_no_segments(self, pooled_blocks):
-        from repro.parallel import sweep_map
-
-        tasks, expected = _array_tasks()
-        assert sweep_map(
-            _array_sum, tasks, jobs=2, transport="shm"
-        ) == expected
-        assert sharedmem.active_segments() == []
-
-    def test_worker_kill_midblock_leaves_no_segments(
-        self, tmp_path, monkeypatch, pooled_blocks, traced
-    ):
-        """A killed worker breaks the pool mid-generation: the rebuild
-        must unlink that generation's segments before re-planning."""
-        from repro.parallel import sweep_map
-
-        tasks, expected = _array_tasks()
-        marker = _arm_kill(monkeypatch, tmp_path)
-        with pytest.warns(RuntimeWarning, match="rebuilding worker pool"):
-            out = sweep_map(_array_sum, tasks, jobs=2, transport="shm")
-        assert out == expected
-        assert traced.counters["resilience.pool_rebuilds"] >= 1
-        assert marker.exists()
-        assert sharedmem.active_segments() == []
-
-    def test_degraded_serial_fallback_leaves_no_segments(
+    def test_no_rebuild_budget_degrades(
         self, tmp_path, monkeypatch, pooled_blocks
     ):
-        """Exhausting pool rebuilds degrades to serial blocks; the dead
-        generations' segments must all be gone by then."""
+        """With no rebuild budget a killed worker degrades the rest of
+        the sweep to in-process blocks, with the same results."""
         from repro.parallel import sweep_map
         from repro.resilience import ResiliencePolicy
 
-        tasks, expected = _array_tasks()
+        tasks = list(range(10))
         _arm_kill(monkeypatch, tmp_path)
         with pytest.warns(RuntimeWarning, match="degrading to"):
             out = sweep_map(
-                _array_sum, tasks, jobs=2, transport="shm",
+                _square, tasks, jobs=2,
                 policy=ResiliencePolicy(max_pool_rebuilds=0),
             )
-        assert out == expected
-        assert sharedmem.active_segments() == []
+        assert out == [x * x for x in tasks]

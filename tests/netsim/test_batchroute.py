@@ -108,10 +108,6 @@ class TestVectorEnabled:
         assert isinstance(pm, PathMatrix)
         assert [p.tolist() for p in pm] == self._scalar_routes()
 
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off", "OFF"])
-    def test_falsey_disables(self, monkeypatch, raw):
-        self._assert_spelling_keeps_batch_router(monkeypatch, raw)
-
     @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", ""])
     def test_other_values_enable(self, monkeypatch, raw):
         self._assert_spelling_keeps_batch_router(monkeypatch, raw)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import env
@@ -10,7 +12,6 @@ ALL_KNOBS = (
     "REPRO_JOBS",
     "REPRO_CACHE_SIZE",
     "REPRO_TRACE",
-    "REPRO_SHM",
     "REPRO_CHECK",
     "REPRO_RESILIENCE_TEST_KILL",
     "REPRO_RESILIENCE_TEST_KILL_MARKER",
@@ -54,13 +55,21 @@ class TestRegistry:
             env.Knob("REPRO_X", "bool", 0, "nope")
 
 
+def _default_check_on(monkeypatch):
+    """Flip ``REPRO_CHECK``'s default on for one test, so a spelling
+    that reads as "off" cannot pass by falling back to the default."""
+    knob = dataclasses.replace(env.knob("REPRO_CHECK"), default=True)
+    monkeypatch.setitem(env._REGISTRY, "REPRO_CHECK", knob)
+
+
 class TestFlagSemantics:
     @pytest.mark.parametrize(
         "raw", ["0", "false", "no", "off", "OFF", "FALSE", " Off "]
     )
     def test_falsey_values_disable(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", raw)
-        assert env.get_flag("REPRO_SHM") is False
+        _default_check_on(monkeypatch)
+        monkeypatch.setenv("REPRO_CHECK", raw)
+        assert env.get_flag("REPRO_CHECK") is False
 
     @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "2", "weird"])
     def test_other_values_enable(self, raw, monkeypatch):
@@ -68,19 +77,17 @@ class TestFlagSemantics:
         assert env.get_flag("REPRO_CHECK") is True
 
     def test_unset_takes_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        assert env.get_flag("REPRO_SHM") is True
         assert env.get_flag("REPRO_CHECK") is False
 
     @pytest.mark.parametrize("raw", ["", "   "])
     def test_empty_counts_as_unset(self, raw, monkeypatch):
-        # `REPRO_SHM= python ...` has always meant "default", for
-        # an on-by-default knob and an off-by-default knob alike.
-        monkeypatch.setenv("REPRO_SHM", raw)
+        # `REPRO_CHECK= python ...` means "default", for an
+        # off-by-default knob and an on-by-default knob alike.
         monkeypatch.setenv("REPRO_CHECK", raw)
-        assert env.get_flag("REPRO_SHM") is True
         assert env.get_flag("REPRO_CHECK") is False
+        _default_check_on(monkeypatch)
+        assert env.get_flag("REPRO_CHECK") is True
 
     def test_is_falsey_is_truthy_vocabulary(self):
         assert env.is_falsey("") and env.is_falsey(" OFF ")
@@ -129,11 +136,3 @@ class TestLegacyCallersStillWork:
         monkeypatch.setenv("REPRO_JOBS", "banana")
         with pytest.warns(RuntimeWarning, match="banana"):
             resolve_jobs(0)
-
-    def test_sharedmem_flag(self, monkeypatch):
-        from repro.sharedmem import shm_enabled
-
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert shm_enabled() is False
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm_enabled() is True

@@ -478,39 +478,33 @@ class TestAdaptiveScheduling:
         ]
         assert sum(_BLOCK_CALLS) == len(items)
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    @pytest.mark.parametrize("payload", ["pickle", "shm"])
     def test_pooled_block_sweep_bit_identical(
-        self, tracked_runner, monkeypatch, transport
+        self, tracked_runner, monkeypatch, payload
     ):
-        """Both transports return exactly the serial results; the shm
-        leg must leave no /dev/shm segments behind."""
+        """The pooled block path returns exactly the serial results,
+        both for small results (``pickle``) and for arrays as large as
+        the ones the removed shared-memory transport moved out of band
+        (``shm``); neither leaves a ``/dev/shm`` segment behind."""
+        import numpy as np
+
         from repro import sharedmem
 
         import repro.parallel as parallel
 
-        if transport == "shm" and not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-        items = list(range(40))
-        got = sweep_map(
-            tracked_square, items, jobs=2, transport=transport
-        )
-        assert got == [x * x for x in items]
+        if payload == "pickle":
+            items = list(range(40))
+        else:
+            n = sharedmem.MIN_SHARED_BYTES // 8
+            items = [np.full(n, x, dtype=np.float64) for x in range(40)]
+        got = sweep_map(tracked_square, items, jobs=2)
+        assert len(got) == len(items)
+        for g, x in zip(got, items):
+            assert np.array_equal(g, x * x)
         assert sharedmem.active_segments() == []
-
-    def test_rejects_unknown_transport(self, tracked_runner, monkeypatch):
-        import repro.parallel as parallel
-
-        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
-        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-        with pytest.raises(ValueError, match="transport"):
-            sweep_map(
-                tracked_square, list(range(40)), jobs=2,
-                transport="smoke-signals",
-            )
 
 
 

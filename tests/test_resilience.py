@@ -536,23 +536,23 @@ class TestSweepMapIntegration:
 
 
 # ---------------------------------------------------------------------
-# Shared-memory transport on the resilient pool path.
+# Array results on the resilient pool path.
 
 
 def _big_result(x):
     import numpy as np
 
     rng = np.random.default_rng(x)
-    return rng.random(9000)  # 72 KB: clears MIN_SHARED_BYTES
+    return rng.random(9000)
 
 
 def _big_result_block(xs):
     return [_big_result(x) for x in xs]
 
 
-class TestShmTransport:
-    """Checkpoints journal result *contents*, never segment names, and
-    every dispatch generation's segments are reclaimed."""
+class TestPooledArrayResults:
+    """A pooled sweep's numpy results journal as contents, so a resume
+    reproduces them bit-identically."""
 
     @pytest.fixture
     def big_runner(self):
@@ -565,53 +565,23 @@ class TestShmTransport:
         yield
         unregister_block_runner(_big_result)
 
-    def test_checkpoint_journals_contents_not_segments(
+    def test_checkpoint_resumes_pooled_array_results(
         self, tmp_path, big_runner, monkeypatch
     ):
         import numpy as np
 
         import repro.parallel as parallel
-        from repro import sharedmem
 
-        if not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
         monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
         ckpt = tmp_path / "ckpt.jsonl"
         tasks = list(range(40))  # above the small-sweep serial cutoff
         out = resilient_sweep_map(
-            _big_result, tasks, jobs=2, checkpoint=ckpt, transport="shm"
+            _big_result, tasks, jobs=2, checkpoint=ckpt
         )
-        assert sharedmem.active_segments() == []
-        text = ckpt.read_text()
-        assert sharedmem.SEGMENT_PREFIX not in text
-        # The journal is self-contained: a resume in a world where the
-        # segments are long gone reproduces the results bit-identically.
         resumed = resilient_sweep_map(
             _big_result, tasks, jobs=1, checkpoint=ckpt
         )
         for a, b in zip(out, resumed):
             assert np.array_equal(a, b)
-
-    def test_shm_matches_pickle_transport(self, big_runner, monkeypatch):
-        import numpy as np
-
-        import repro.parallel as parallel
-        from repro import sharedmem
-
-        if not sharedmem.shm_supported():
-            pytest.skip("shared memory unusable here")
-        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_POOL_SPAWN_S", 0.0)
-        monkeypatch.setattr(parallel, "_DISPATCH_S", 0.0)
-        tasks = list(range(40))
-        shm = resilient_sweep_map(
-            _big_result, tasks, jobs=2, transport="shm"
-        )
-        plain = resilient_sweep_map(
-            _big_result, tasks, jobs=2, transport="pickle"
-        )
-        for a, b in zip(shm, plain):
-            assert np.array_equal(a, b)
-        assert sharedmem.active_segments() == []

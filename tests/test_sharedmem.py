@@ -1,10 +1,8 @@
 """Unit tests for the zero-copy shared-memory transport.
 
 Covers :mod:`repro.sharedmem`: descriptor/payload round-trips, the slab
-pool's packing and lifecycle discipline, registered codecs
-(``PathMatrix``/``StackedPathMatrix`` travel as descriptor handles),
-the ``REPRO_SHM`` knob, worker-result encoding, and the no-leak
-invariant every exit path must uphold.
+pool's packing and lifecycle discipline, worker-result encoding, and
+the no-leak invariant every exit path must uphold.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from repro.sharedmem import (
     decode_result,
     maybe_shm_dumps,
     release_payload,
-    resolve_transport,
     shm_loads,
 )
 
@@ -40,41 +37,6 @@ def _no_segment_leaks():
     yield
     sharedmem.detach_segments()
     assert sharedmem.active_segments() == before
-
-
-class TestKnobs:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert sharedmem.shm_enabled()
-
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off", " OFF "])
-    def test_disabling_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SHM", raw)
-        assert not sharedmem.shm_enabled()
-
-    @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "weird"])
-    def test_other_values_keep_it_on(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SHM", raw)
-        assert sharedmem.shm_enabled()
-
-    def test_resolve_auto_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert resolve_transport(None) == "shm"
-        assert resolve_transport("auto") == "shm"
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert resolve_transport(None) == "pickle"
-        assert resolve_transport("auto") == "pickle"
-
-    def test_resolve_explicit_shm_ignores_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert resolve_transport("shm") == "shm"
-
-    def test_resolve_pickle_always_honored(self):
-        assert resolve_transport("pickle") == "pickle"
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError, match="transport"):
-            resolve_transport("carrier-pigeon")
 
 
 class TestPool:
@@ -209,70 +171,6 @@ class TestDumpsLoads:
         via_pickle = pickle.loads(pickle.dumps(obj, protocol=5))
         assert np.array_equal(via_shm["a"], via_pickle["a"])
         assert np.array_equal(via_shm["b"], via_pickle["b"])
-
-
-class TestCodecs:
-    def test_pathmatrix_travels_as_descriptors(self):
-        from repro.netsim.batchroute import PathMatrix
-
-        pm = PathMatrix.from_paths(
-            [[i % 5, (i + 1) % 5] for i in range(30_000)]
-        )
-        with SharedArrayPool() as pool:
-            payload = pool.dumps({"pm": pm})
-            # Codec reduction: arrays became in-stream descriptors, not
-            # out-of-band pickle buffers.
-            assert payload.buffers == ()
-            assert len(payload.data) < 2000
-            out = shm_loads(payload)["pm"]
-            assert np.array_equal(out._link_ids, pm._link_ids)
-            assert np.array_equal(out._offsets, pm._offsets)
-            assert not out._link_ids.flags.writeable
-            del out
-            sharedmem.detach_segments()
-
-    def test_stacked_travels_as_descriptors(self):
-        from repro.netsim.batchroute import PathMatrix
-        from repro.netsim.stacked import StackedPathMatrix
-
-        pm = PathMatrix.from_paths(
-            [[i % 5, (i + 2) % 5] for i in range(20_000)]
-        )
-        caps = np.ones(5)
-        active = np.ones(20_000, dtype=bool)
-        stack = StackedPathMatrix.from_scenarios([(pm, caps, active)] * 2)
-        with SharedArrayPool() as pool:
-            payload = pool.dumps(stack)
-            assert payload.buffers == ()
-            out = shm_loads(payload)
-            for slot in (
-                "link_ids", "offsets", "flow_base", "link_base",
-                "capacities", "active", "flow_scenarios",
-            ):
-                assert np.array_equal(
-                    getattr(out, f"_{slot}"), getattr(stack, f"_{slot}")
-                ), slot
-            del out
-            sharedmem.detach_segments()
-
-    def test_codecs_flag_disables_reduction(self):
-        from repro.netsim.batchroute import PathMatrix
-
-        pm = PathMatrix.from_paths(
-            [[i % 5, (i + 1) % 5] for i in range(30_000)]
-        )
-        with SharedArrayPool() as pool:
-            payload = pool.dumps({"pm": pm}, codecs=False)
-            out = shm_loads(payload, copy=True)["pm"]
-        # Pool gone: a codec-free payload must have owned its bytes.
-        assert np.array_equal(out._link_ids, pm._link_ids)
-
-    def test_register_requires_methods(self):
-        class NoCodec:
-            pass
-
-        with pytest.raises(TypeError, match="to_shared"):
-            sharedmem.register_shared_codec(NoCodec)
 
 
 class TestResultEncoding:

@@ -11,12 +11,14 @@ the ``REPRO_*`` knob registry must stay in sync with the docs.  Running
 the self-lint here makes a new violation fail tier-1 locally, not just
 the CI lint leg.
 
-Finally, every file that ``docs/reproduction_map.md`` names as a
-claim's verification must exist.
+Every file that ``docs/reproduction_map.md`` names as a claim's
+verification must exist, and no package module may import
+``repro.sharedmem``: sweeps use the pool's own pickle pipe.
 """
 
 from __future__ import annotations
 
+import ast
 import compileall
 import re
 from pathlib import Path
@@ -92,3 +94,33 @@ def test_reproduction_map_names_existing_files():
 
     missing = [name for name in named if not where(name).is_file()]
     assert not missing, f"docs/reproduction_map.md names {missing}"
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Absolute dotted names *path* imports, relative imports resolved
+    against its package (``from . import x`` yields ``pkg`` and
+    ``pkg.x``)."""
+    parts = path.relative_to(SRC).with_suffix("").parts[:-1]
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[: len(parts) - node.level + 1] if node.level else ()
+            module = ".".join((*base, *filter(None, [node.module])))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_package_module_imports_sharedmem():
+    """``repro.sharedmem`` is kept only for the e2e layer tracer."""
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if any(
+            name == "repro.sharedmem" or name.startswith("repro.sharedmem.")
+            for name in _imported_names(path)
+        )
+    ]
+    assert offenders == [], f"{offenders} import repro.sharedmem"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro._validation import (
-    as_sorted_desc,
     check_dims,
     check_nonnegative_int,
     check_positive_float,
@@ -97,8 +96,3 @@ class TestSubsetSize:
     def test_exceeds(self):
         with pytest.raises(ValueError):
             check_subset_size(11, 10)
-
-
-class TestSortedDesc:
-    def test_sorts(self):
-        assert as_sorted_desc([1, 3, 2]) == (3, 2, 1)
