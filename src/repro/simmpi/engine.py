@@ -50,10 +50,11 @@ In-flight flows live in :class:`_VectorFlows`, which stores all flow
 state in a persistent array-native
 :class:`~repro.simmpi.ledger.FlowLedger` — an append-only CSR path
 arena plus ``remaining``/``group``/``active`` planes and a per-link
-load plane — so every event is a handful of numpy reductions: a
-histogram of links by (capacity, load) decides the water-fill's first
-round, and only when that round leaves a used link unsaturated does
-the solver run over the live
+load plane.  The flows a drain of ready ranks starts enter the ledger
+in one bulk append at the next solve, and every event is a handful of
+numpy reductions: a histogram of links by (capacity, load) decides the
+water-fill's first round, and only when that round leaves a used link
+unsaturated does the solver run over the live
 :class:`~repro.netsim.batchroute.PathMatrix` view; ``dt`` is
 ``(remaining / rates).min()``, flow progress is
 ``remaining[act] -= rates * dt``, and group completion is a
@@ -169,11 +170,19 @@ class _VectorFlows:
     the ledger's ``order_key`` plane, which is what keeps
     order-sensitive artifacts (fault reports, restore scans, route
     cache traffic) bit-identical with the per-flow-object oracle.
+
+    :meth:`add` only queues a flow.  The first reader of the ledger
+    after it (:meth:`solve_dt`, :meth:`degraded_count`,
+    :meth:`reroute_severed`, :meth:`restore_routes`) admits the whole
+    queue in one :meth:`~repro.simmpi.ledger.FlowLedger.add_many`, so a
+    drain of ready ranks enters the ledger as one batch, in the slot
+    and order-key order its adds were made.  ``len()`` counts queued
+    flows.
     """
 
     __slots__ = (
-        "ledger", "groups", "_next_gid",
-        "_act", "_rates", "_rem", "_pending",
+        "ledger", "groups", "_next_gid", "_queue",
+        "_act", "_rates", "_rem",
         "_caps", "_cls", "_cls_caps", "_seen", "_hist",
     )
 
@@ -181,20 +190,21 @@ class _VectorFlows:
         self.ledger = FlowLedger(num_links)
         self.groups: dict[int, _Group] = {}
         self._next_gid = 0
+        #: Flows added since the last admission, as add_many rows.
+        self._queue: list[tuple[np.ndarray, float, int, int, int]] = []
         # Active slots carried across events: progress() filters out
-        # completions, add() appends (slot ids are monotone, so the
+        # completions, _admit() appends (slot ids are monotone, so the
         # ascending order active_slots() would produce is preserved).
         # Dropped to None whenever slots are renumbered or repathed.
         self._act: np.ndarray | None = None
         self._rates: np.ndarray | None = None
         self._rem: np.ndarray | None = None
-        self._pending: list[int] = []
         # Histogram of links by (capacity class, ledger load), kept for
         # the capacity plane it was built on (see solve_dt).
         self._caps: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.ledger.num_active
+        return self.ledger.num_active + len(self._queue)
 
     def add(
         self,
@@ -204,13 +214,22 @@ class _VectorFlows:
         src_node: int,
         dst_node: int,
     ) -> None:
-        if group.gid < 0:
-            group.gid = self._next_gid
+        gid = group.gid
+        if gid < 0:
+            gid = group.gid = self._next_gid
             self._next_gid += 1
-            self.groups[group.gid] = group
-        self._pending.append(
-            self.ledger.add(path, gb, group.gid, src_node, dst_node)
-        )
+            self.groups[gid] = group
+        self._queue.append((path, gb, gid, src_node, dst_node))
+
+    def _admit(self) -> None:
+        """Move the queued flows into the ledger in one bulk append."""
+        led = self.ledger
+        first = led.add_many(*zip(*self._queue))
+        self._queue = []
+        if self._act is not None:
+            self._act = np.concatenate(
+                (self._act, np.arange(first, led.num_slots))
+            )
 
     def solve_dt(self, capacities: np.ndarray) -> float:
         """Re-solve fair rates over the live ledger view.
@@ -228,15 +247,11 @@ class _VectorFlows:
         swaps the capacity plane, and brought up to date here by
         diffing the ledger's load plane against the one it last saw.
         """
+        if self._queue:
+            self._admit()
         act = self._act
         if act is None:
-            act = self.ledger.active_slots()
-        elif self._pending:
-            act = np.concatenate(
-                (act, np.asarray(self._pending, dtype=np.int64))
-            )
-        self._pending.clear()
-        self._act = act
+            act = self._act = self.ledger.active_slots()
         load = self.ledger.link_load
         if capacities is not self._caps:
             self._caps = capacities
@@ -274,6 +289,8 @@ class _VectorFlows:
 
     def degraded_count(self, degr_mask: np.ndarray) -> int:
         """How many in-flight flows cross a degraded link."""
+        if self._queue:
+            self._admit()
         return self.ledger.crossing_count(degr_mask, self._act)
 
     def progress(self, dt: float) -> list[_Group]:
@@ -321,6 +338,8 @@ class _VectorFlows:
         ``caps <= _EPS`` rather than ``== 0``: a capacity rounding has
         driven below ``_EPS`` carries no traffic either.
         """
+        if self._queue:
+            self._admit()
         led = self.ledger
         self._act = None  # repaths retire slots out of creation order
         severed = led.crossing_slots(caps <= _EPS)
@@ -341,21 +360,38 @@ class _VectorFlows:
         return reroutes, lost
 
     def restore_routes(self, path_of) -> int:
-        """Switch flows back to their preferred route after a repair."""
+        """Switch flows back to their preferred route after a repair.
+
+        Preferred routes are looked up in flow-creation order (the
+        oracle's route-cache traffic) and compared with the ledger's
+        paths in one gather; flows whose route changed repath in that
+        order.
+        """
+        if self._queue:
+            self._admit()
         led = self.ledger
         self._act = None  # repaths retire slots out of creation order
-        restores = 0
-        for slot in led.active_slots_by_order().tolist():
-            src = int(led.src_nodes[slot])
-            dst = int(led.dst_nodes[slot])
-            new_path = path_of(src, dst)
-            old = led.path(slot)
-            if len(new_path) != len(old) or not np.array_equal(
-                new_path, old
-            ):
-                led.repath(slot, new_path)
-                restores += 1
-        return restores
+        act = led.active_slots_by_order()
+        if not act.size:
+            return 0
+        new = [
+            path_of(src, dst)
+            for src, dst in zip(
+                led.src_nodes[act].tolist(), led.dst_nodes[act].tolist()
+            )
+        ]
+        old_links, old_rows, lengths = led.subset_entries(act)
+        new_lengths = np.fromiter(map(len, new), np.int64, len(new))
+        changed = new_lengths != lengths
+        # Rows whose lengths agree line up entry by entry in both gathers.
+        new_rows = np.repeat(np.arange(len(new)), new_lengths)
+        old_kept = ~changed[old_rows]
+        differ = old_links[old_kept] != np.concatenate(new)[~changed[new_rows]]
+        changed[old_rows[old_kept][differ]] = True
+        restored = np.flatnonzero(changed)
+        for i in restored.tolist():
+            led.repath(int(act[i]), new[i])
+        return len(restored)
 
 
 @dataclass(frozen=True)
@@ -575,7 +611,14 @@ class VirtualMpi:
             self._torus, src, dst, faults, tie=self._tie
         )
         dead = {keys[i] for i in cut.tolist()}
-        return {k: pm[i] for i, k in enumerate(keys) if k not in dead}, dead
+        # Slicing the flat plane by list offsets skips PathMatrix's
+        # per-item bounds checks; the slices are the same views.
+        links, ends = pm.link_ids, pm.offsets.tolist()
+        return {
+            k: links[ends[i] : ends[i + 1]]
+            for i, k in enumerate(keys)
+            if k not in dead
+        }, dead
 
     def _record_flow_trace(self, path: np.ndarray, gb: float) -> None:
         """Traced-mode accounting of one started flow (bytes per class)."""
@@ -691,9 +734,22 @@ class VirtualMpi:
                 resume[r] = group.deliveries.get(r)
                 make_ready(r)
 
-        def add_flow(
-            src_node: int, dst_node: int, gb: float, group: _Group
+        rank_node = self._rank_node
+        queue_flow = backend.add
+
+        def start_flow(
+            src: int, dst: int, gb: float, group: _Group,
+            counted: bool = False,
         ) -> None:
+            """Queue rank *src*'s transfer to *dst* (free within a node).
+
+            Counts the message for *src* unless *counted* (an eager
+            send is counted when it is posted).
+            """
+            if not counted:
+                gb_sent[src] += gb
+                msgs[src] += 1
+            src_node, dst_node = rank_node[src], rank_node[dst]
             path = path_of(src_node, dst_node)
             if len(path) == 0:  # same node: free
                 group.outstanding -= 1
@@ -702,14 +758,7 @@ class VirtualMpi:
                 return
             if obs.enabled:
                 self._record_flow_trace(path, gb)
-            backend.add(path, gb, group, src_node, dst_node)
-
-        def start_flow(src: int, dst: int, gb: float, group: _Group) -> None:
-            gb_sent[src] += gb
-            msgs[src] += 1
-            add_flow(
-                self._rank_node[src], self._rank_node[dst], gb, group
-            )
+            queue_flow(path, gb, group, src_node, dst_node)
 
         def apply_event(ev: FaultEvent | RepairEvent) -> None:
             """Merge *ev* into the live fault state and re-path flows."""
@@ -774,7 +823,30 @@ class VirtualMpi:
                     n_done += 1
                     finish[rank] = now
                     return
-                if isinstance(op, Compute):
+                if isinstance(op, SendRecv):
+                    peer = op.peer
+                    key = (
+                        (rank, peer, op.tag) if rank < peer
+                        else (peer, rank, op.tag)
+                    )
+                    waiting = exch.get(key)
+                    if waiting:
+                        peer, peer_gb, peer_payload = waiting.popleft()
+                        group = _Group(
+                            waiters=(rank, peer), outstanding=2,
+                            deliveries={
+                                rank: peer_payload, peer: op.payload,
+                            },
+                        )
+                        state[rank] = BLOCKED
+                        start_flow(rank, peer, op.gb, group)
+                        start_flow(peer, rank, peer_gb, group)
+                    else:
+                        exch.setdefault(key, deque()).append(
+                            (rank, op.gb, op.payload)
+                        )
+                        state[rank] = BLOCKED
+                elif isinstance(op, Compute):
                     comp_secs[rank] += op.seconds
                     if op.seconds <= 0:
                         continue
@@ -782,7 +854,7 @@ class VirtualMpi:
                     state[rank] = BLOCKED
                 elif isinstance(op, Send):
                     key = (rank, op.dst, op.tag)
-                    waiting = recvs.get((rank, op.dst, op.tag))
+                    waiting = recvs.get(key)
                     if waiting:
                         receiver = waiting.popleft()
                         group = _Group(
@@ -823,14 +895,7 @@ class VirtualMpi:
                             deliveries={rank: payload},
                         )
                         state[rank] = BLOCKED
-                        # Accounting already done at Isend time; start
-                        # the wire transfer without recounting.
-                        add_flow(
-                            self._rank_node[sender],
-                            self._rank_node[rank],
-                            gb,
-                            group,
-                        )
+                        start_flow(sender, rank, gb, group, counted=True)
                         continue
                     waiting = sends.get(key)
                     if waiting:
@@ -843,26 +908,6 @@ class VirtualMpi:
                         start_flow(sender, rank, gb, group)
                     else:
                         recvs.setdefault(key, deque()).append(rank)
-                        state[rank] = BLOCKED
-                elif isinstance(op, SendRecv):
-                    a, b = rank, op.peer
-                    key = (min(a, b), max(a, b), op.tag)
-                    waiting = exch.get(key)
-                    if waiting:
-                        peer, peer_gb, peer_payload = waiting.popleft()
-                        group = _Group(
-                            waiters=(rank, peer), outstanding=2,
-                            deliveries={
-                                rank: peer_payload, peer: op.payload,
-                            },
-                        )
-                        state[rank] = BLOCKED
-                        start_flow(rank, peer, op.gb, group)
-                        start_flow(peer, rank, peer_gb, group)
-                    else:
-                        exch.setdefault(key, deque()).append(
-                            (rank, op.gb, op.payload)
-                        )
                         state[rank] = BLOCKED
                 elif isinstance(op, Barrier):
                     barrier_waiters.append(rank)

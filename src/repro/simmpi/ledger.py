@@ -9,7 +9,12 @@ preallocated numpy planes:
 
 * an **append-only CSR path arena** (``links``/``offsets``) — paths
   already arrive as int64 arrays from :mod:`repro.netsim.batchroute`
-  via the engine's route cache, so adding a flow is two slice writes;
+  via the engine's route cache.  The engine queues the flows a drain
+  of ready ranks starts and admits them when it next reads the ledger
+  (:meth:`FlowLedger.add_many`): one ``np.concatenate`` into the arena,
+  a cumsum for the offsets and slice writes for the slot planes, with
+  the same slot ids and order keys one :meth:`FlowLedger.add` per flow
+  would give;
 * per-slot ``remaining`` / ``group_id`` / ``src`` / ``dst`` /
   ``order_key`` / ``active`` planes, so per-event progress is
   ``remaining[act] -= rates * dt`` instead of a Python loop;
@@ -36,6 +41,8 @@ so steady-state runs amortize the rebuild.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .. import observability
@@ -46,6 +53,11 @@ __all__ = ["FlowLedger"]
 #: Default retired-entry floor before :meth:`FlowLedger.maybe_compact`
 #: rebuilds the arena.
 COMPACT_MIN = 65536
+
+#: Batches smaller than this take :meth:`FlowLedger.add` per flow in
+#: :meth:`FlowLedger.add_many`: below it the bulk path's fixed numpy
+#: cost outweighs the per-flow scalar writes it saves.
+BULK_MIN = 4
 
 
 class FlowLedger:
@@ -268,7 +280,7 @@ class FlowLedger:
         path = np.ascontiguousarray(path, dtype=np.int64).ravel()
         n = self._n_slots
         if n + 2 > len(self._offsets):
-            self._grow_slots()
+            self._grow_slots(n + 1)
         m = len(path)
         used = self._used
         if used + m > len(self._links):
@@ -291,6 +303,53 @@ class FlowLedger:
         self._n_active += 1
         self._live_entries += m
         np.add.at(self._link_load, path, 1)
+        self._view = None
+        return n
+
+    def add_many(
+        self,
+        paths: Sequence[np.ndarray],
+        remaining: Sequence[float],
+        group_ids: Sequence[int],
+        src_nodes: Sequence[int],
+        dst_nodes: Sequence[int],
+    ) -> int:
+        """Append flows in one batch; returns the first new slot id.
+
+        Flow *i* gets slot ``first + i`` and the next fresh order key:
+        the ids that one :meth:`add` per flow, in order, would assign.
+        Batches below :data:`BULK_MIN` flows make those calls.
+        """
+        n = self._n_slots
+        k = len(paths)
+        if k < BULK_MIN:
+            for row in zip(paths, remaining, group_ids, src_nodes, dst_nodes):
+                self.add(*row)
+            return n
+        ends = np.cumsum(np.fromiter(map(len, paths), np.int64, k))
+        total = int(ends[-1])
+        if n + k + 1 > len(self._offsets):
+            self._grow_slots(n + k)
+        used = self._used
+        if used + total > len(self._links):
+            self._grow_entries(used + total)
+        entries = self._links[used : used + total]
+        # ``unsafe`` casting matches add()'s int64 conversion.
+        np.concatenate(paths, out=entries, casting="unsafe")
+        np.add(ends, used, out=self._offsets[n + 1 : n + k + 1])
+        new = slice(n, n + k)
+        self._remaining[new] = remaining
+        self._group[new] = group_ids
+        self._src[new] = src_nodes
+        self._dst[new] = dst_nodes
+        self._order[new] = np.arange(self._next_order, self._next_order + k)
+        self._next_order += k
+        self._active[new] = True
+        self._used = used + total
+        self._n_slots = n + k
+        self._n_active += k
+        self._live_entries += total
+        np.add.at(self._link_load, entries, 1)
         self._view = None
         return n
 
@@ -380,8 +439,8 @@ class FlowLedger:
     # Growth                                                               #
     # ------------------------------------------------------------------ #
 
-    def _grow_slots(self) -> None:
-        cap = max(2 * (len(self._offsets) - 1), 2)
+    def _grow_slots(self, need: int) -> None:
+        cap = max(2 * (len(self._offsets) - 1), need)
         offsets = np.zeros(cap + 1, dtype=np.int64)
         offsets[: self._n_slots + 1] = self._offsets[: self._n_slots + 1]
         self._offsets = offsets

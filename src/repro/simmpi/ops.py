@@ -23,11 +23,30 @@ All volumes are in GB (matching the link-capacity units of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .._validation import check_nonnegative_int, check_positive_float
 
 __all__ = ["Compute", "Send", "Isend", "Recv", "SendRecv", "Barrier"]
+
+
+def _check_transfer(rank: int, name: str, gb: float, tag: int) -> None:
+    """Validate a transfer op's peer rank, volume and tag.
+
+    Exact ``int`` ranks and tags with a finite positive ``float`` volume
+    pass inline (rank programs post one op per message); anything else
+    goes through the :mod:`repro._validation` helpers, which raise.
+    """
+    if (
+        type(rank) is int and rank >= 0
+        and type(tag) is int and tag >= 0
+        and type(gb) is float and 0.0 < gb < math.inf
+    ):
+        return
+    check_nonnegative_int(rank, name)
+    check_positive_float(gb, "gb")
+    check_nonnegative_int(tag, "tag")
 
 
 @dataclass(frozen=True)
@@ -40,6 +59,10 @@ class Compute:
         if self.seconds < 0:
             raise ValueError(
                 f"compute time must be non-negative, got {self.seconds}"
+            )
+        if not math.isfinite(self.seconds):
+            raise ValueError(
+                f"compute time must be finite, got {self.seconds}"
             )
 
 
@@ -60,9 +83,7 @@ class Send:
     payload: object = None
 
     def __post_init__(self) -> None:
-        check_nonnegative_int(self.dst, "dst")
-        check_positive_float(self.gb, "gb")
-        check_nonnegative_int(self.tag, "tag")
+        _check_transfer(self.dst, "dst", self.gb, self.tag)
 
 
 @dataclass(frozen=True)
@@ -80,9 +101,7 @@ class Isend:
     payload: object = None
 
     def __post_init__(self) -> None:
-        check_nonnegative_int(self.dst, "dst")
-        check_positive_float(self.gb, "gb")
-        check_nonnegative_int(self.tag, "tag")
+        _check_transfer(self.dst, "dst", self.gb, self.tag)
 
 
 @dataclass(frozen=True)
@@ -93,8 +112,11 @@ class Recv:
     tag: int = 0
 
     def __post_init__(self) -> None:
-        check_nonnegative_int(self.src, "src")
-        check_nonnegative_int(self.tag, "tag")
+        src, tag = self.src, self.tag
+        if type(src) is int and src >= 0 and type(tag) is int and tag >= 0:
+            return
+        check_nonnegative_int(src, "src")
+        check_nonnegative_int(tag, "tag")
 
 
 @dataclass(frozen=True)
@@ -113,9 +135,7 @@ class SendRecv:
     payload: object = None
 
     def __post_init__(self) -> None:
-        check_nonnegative_int(self.peer, "peer")
-        check_positive_float(self.gb, "gb")
-        check_nonnegative_int(self.tag, "tag")
+        _check_transfer(self.peer, "peer", self.gb, self.tag)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.simmpi import (
     Barrier,
     Compute,
     DeadlockError,
+    Isend,
     Recv,
     Send,
     SendRecv,
     VirtualMpi,
 )
+from repro.simmpi.engine import _Group, _VectorFlows
+from repro.simmpi.ledger import BULK_MIN
 from repro.topology import Torus
 
 
@@ -194,6 +200,128 @@ class TestValidation:
             Compute(seconds=-1.0)
         with pytest.raises(ValueError):
             SendRecv(peer=0, gb=-1.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_compute_rejects_non_finite_seconds(self, seconds):
+        # NaN slips past a plain ``< 0`` test; a run that yielded one
+        # spun to its event budget "at virtual time inf".
+        with pytest.raises(ValueError, match="must be finite"):
+            Compute(seconds=seconds)
+
+    def test_compute_negative_message_unchanged(self):
+        for seconds in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                Compute(seconds=seconds)
+
+    def test_program_yielding_nan_compute_fails_fast(self, ring4):
+        def prog(rank, size):
+            yield Compute(seconds=math.nan)
+
+        with pytest.raises(ValueError, match="must be finite"):
+            ring4.run(prog)
+
+    @pytest.mark.parametrize("op", [Send, Isend])
+    def test_transfer_op_errors_name_the_field(self, op):
+        with pytest.raises(TypeError, match="dst must be an int"):
+            op(dst=1.0, gb=1.0)
+        with pytest.raises(ValueError, match="dst must be non-negative"):
+            op(dst=-1, gb=1.0)
+        with pytest.raises(ValueError, match="gb must be positive and finite"):
+            op(dst=1, gb=math.nan)
+        with pytest.raises(TypeError, match="tag must be an int"):
+            op(dst=1, gb=1.0, tag=True)
+
+    def test_sendrecv_and_recv_errors_name_the_field(self):
+        with pytest.raises(TypeError, match="peer must be an int"):
+            SendRecv(peer=np.int64(1), gb=1.0)
+        with pytest.raises(ValueError, match="gb must be positive and finite"):
+            SendRecv(peer=1, gb=math.inf)
+        with pytest.raises(TypeError, match="gb must be a number, got bool"):
+            SendRecv(peer=1, gb=True)
+        with pytest.raises(ValueError, match="src must be non-negative"):
+            Recv(src=-2)
+        with pytest.raises(ValueError, match="tag must be non-negative"):
+            Recv(src=0, tag=-1)
+
+    def test_transfer_ops_accept_non_float_volumes(self):
+        # Only exact ints/floats take the inline check; the rest fall
+        # back to the validation helpers, which accept them as before.
+        assert SendRecv(peer=1, gb=2).gb == 2
+        assert Send(dst=1, gb=np.float32(0.5)).gb == np.float32(0.5)
+
+
+def _queued_store(paths, num_links=8):
+    """A flow store holding *paths* (node 0 -> node i+1) in its queue."""
+    flows = _VectorFlows(num_links)
+    group = _Group(waiters=(0,), outstanding=len(paths))
+    for i, path in enumerate(paths):
+        flows.add(np.asarray(path), 1.0, group, 0, i + 1)
+    return flows
+
+
+class TestFlowQueue:
+    """``_VectorFlows.add`` only queues; every reader admits first."""
+
+    def test_len_counts_queued_flows(self):
+        flows = _queued_store([[0], [1, 2]])
+        assert flows.ledger.num_active == 0
+        assert len(flows) == 2
+
+    def test_solve_admits_queue_in_add_order(self):
+        paths = [[i % 8] for i in range(BULK_MIN + 2)]
+        flows = _queued_store(paths)
+        flows.solve_dt(np.ones(8))
+        led = flows.ledger
+        assert len(flows) == led.num_active == len(paths)
+        assert led.order_keys[: len(paths)].tolist() == list(
+            range(len(paths))
+        )
+        assert led.dst_nodes[: len(paths)].tolist() == list(
+            range(1, len(paths) + 1)
+        )
+
+    @pytest.mark.parametrize("queued", [1, BULK_MIN + 1])
+    def test_solve_sees_flows_queued_since_last_solve(self, queued):
+        flows = _queued_store([[0]])
+        caps = np.ones(8)
+        assert flows.solve_dt(caps) == 1.0
+        group = _Group(waiters=(0,), outstanding=queued)
+        for _ in range(queued):
+            flows.add(np.array([0]), 1.0, group, 0, 1)
+        # 1 + queued flows now share link 0.
+        assert flows.solve_dt(caps) == 1.0 + queued
+        assert len(flows._rates) == 1 + queued
+
+    def test_degraded_count_sees_queued_flows(self):
+        flows = _queued_store([[0]])
+        flows.solve_dt(np.ones(8))
+        flows.add(np.array([1, 2]), 1.0, _Group((0,), 1), 0, 2)
+        mask = np.zeros(8, dtype=bool)
+        mask[2] = True
+        assert flows.degraded_count(mask) == 1
+        mask[0] = True
+        assert flows.degraded_count(mask) == 2
+
+    def test_reroute_severed_sees_queued_flows(self):
+        flows = _queued_store([[0], [1]])
+        flows.solve_dt(np.ones(8))
+        flows.add(np.array([2, 3]), 1.0, _Group((0,), 1), 0, 3)
+        caps = np.ones(8)
+        caps[3] = 0.0
+        reroutes, lost = flows.reroute_severed(
+            caps, lambda src, dst: np.array([5])
+        )
+        assert (reroutes, lost) == (1, [])
+        assert flows.ledger.link_load.tolist() == [1, 1, 0, 0, 0, 1, 0, 0]
+
+    def test_restore_routes_sees_queued_flows(self):
+        flows = _queued_store([[0]])
+        flows.solve_dt(np.ones(8))
+        flows.add(np.array([4, 5]), 1.0, _Group((0,), 1), 0, 2)
+        preferred = {1: np.array([0]), 2: np.array([6])}
+        assert flows.restore_routes(lambda src, dst: preferred[dst]) == 1
+        act = flows.ledger.active_slots_by_order()
+        assert [flows.ledger.path(s).tolist() for s in act] == [[0], [6]]
 
 
 class TestAgainstFlowLevelExperiment:

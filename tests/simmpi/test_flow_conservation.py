@@ -1,11 +1,12 @@
 """Per-flow byte conservation in the FlowLedger engine.
 
-A metered ``_VectorFlows`` accumulates ``rate * dt`` per flow at every
-progress step, keyed by the ledger's ``order_key`` (which survives
-reroutes and compaction).  Every message must deliver exactly its GB:
-the sum of ``rate * dt`` equals the posted volume within the engine's
-completion epsilon.  Across a fault, each rerouted flow must carry
-exactly the volume it had left.
+A metered ``_VectorFlows`` records each flow's posted volume when the
+queued flows are admitted to the ledger, and accumulates ``rate * dt``
+per flow at every progress step, keyed by the ledger's ``order_key``
+(which survives reroutes and compaction).  Every message must deliver
+exactly its GB: the sum of ``rate * dt`` equals the posted volume
+within the engine's completion epsilon.  Across a fault, each rerouted
+flow must carry exactly the volume it had left.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ class MeteredFlows(engine_mod._VectorFlows):
         self.carried: list[dict[int, tuple[float, float, float]]] = []
         MeteredFlows.instances.append(self)
 
-    def add(self, path, gb, group, src_node, dst_node) -> None:
-        super().add(path, gb, group, src_node, dst_node)
-        key = int(self.ledger.order_keys[self._pending[-1]])
-        self.posted[key] = gb
-        self.moved[key] = 0.0
+    def _admit(self) -> None:
+        # Queued flows take consecutive slots from the ledger's tail.
+        first = self.ledger.num_slots
+        gbs = [row[1] for row in self._queue]
+        super()._admit()
+        keys = self.ledger.order_keys[first : first + len(gbs)].tolist()
+        for key, gb in zip(keys, gbs):
+            self.posted[key] = gb
+            self.moved[key] = 0.0
 
     def progress(self, dt: float):
         keys = self.ledger.order_keys[self._act].tolist()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.batchroute import PathMatrix
-from repro.simmpi.ledger import FlowLedger
+from repro.simmpi.ledger import BULK_MIN, FlowLedger
 
 
 def _ledger(**kw):
@@ -65,6 +65,103 @@ class TestAddAndRetire:
         assert fresh == 4
         assert led.active_slots().tolist() == [2, 3, 4]
         assert led.active_slots_by_order().tolist() == [4, 2, 3]
+
+
+def _ledger_state(led: FlowLedger) -> dict:
+    """Everything a caller can read back from *led*, as plain lists."""
+    n = led.num_slots
+    pm = led.view()
+    return {
+        "num_slots": n,
+        "num_active": led.num_active,
+        "arena_used": led.arena_used,
+        "retired_entries": led.retired_entries,
+        "link_load": led.link_load.tolist(),
+        "links": pm.link_ids.tolist(),
+        "offsets": pm.offsets.tolist(),
+        "remaining": led.remaining[:n].tolist(),
+        "group_ids": led.group_ids[:n].tolist(),
+        "src_nodes": led.src_nodes[:n].tolist(),
+        "dst_nodes": led.dst_nodes[:n].tolist(),
+        "order_keys": led.order_keys[:n].tolist(),
+        "active": led.active_slots().tolist(),
+        "by_order": led.active_slots_by_order().tolist(),
+    }
+
+
+def _rows(paths):
+    """add_many columns for *paths*: distinct volumes, groups, endpoints."""
+    k = len(paths)
+    return (
+        paths,
+        [0.5 + i for i in range(k)],
+        [i // 2 for i in range(k)],
+        [i % 3 for i in range(k)],
+        [7 + i for i in range(k)],
+    )
+
+
+class TestAddMany:
+    """A bulk append is k single adds: same slots, keys, arena, load."""
+
+    BATCHES = (
+        [],
+        [[3]],
+        [[0, 1], [], [2]],
+        [[i % 16, (i + 5) % 16] for i in range(BULK_MIN)],
+        [[1, 2, 3], [], [4], [], [], [5, 6, 7, 8, 9], [15], []],
+        [[] for _ in range(BULK_MIN + 1)],
+        [[(3 * i + j) % 16 for j in range(i % 5)] for i in range(40)],
+    )
+
+    @pytest.mark.parametrize("paths", BATCHES)
+    def test_matches_single_adds_from_unit_capacity(self, paths):
+        # Unit capacities make both slot and arena growth happen
+        # inside the batch.
+        bulk = FlowLedger(16, slot_capacity=1, entry_capacity=1)
+        single = FlowLedger(16, slot_capacity=1, entry_capacity=1)
+        rows = _rows(paths)
+        assert bulk.add_many(*rows) == 0
+        for row in zip(*rows):
+            single.add(*row)
+        assert _ledger_state(bulk) == _ledger_state(single)
+        # Whatever follows a batch carries on from the same key and slot.
+        for led in (bulk, single):
+            assert led.add([4], 9.0, 99, 1, 2) == len(paths)
+        assert _ledger_state(bulk) == _ledger_state(single)
+
+    @pytest.mark.parametrize("paths", BATCHES)
+    def test_continues_keys_after_repath_and_retire(self, paths):
+        bulk, single = _ledger(), _ledger()
+        for led in (bulk, single):
+            for i in range(3):
+                led.add([i, i + 1], 1.0, i, i, i + 1)
+            led.deactivate(np.array([1]))
+            led.repath(0, [9])  # fresh slot 3 inherits order key 0
+        rows = _rows(paths)
+        assert bulk.add_many(*rows) == 4
+        for row in zip(*rows):
+            single.add(*row)
+        assert _ledger_state(bulk) == _ledger_state(single)
+
+    def test_accepts_int32_and_list_paths(self):
+        empty = np.array([], dtype=np.int32)
+        paths = [np.array([1, 2], dtype=np.int32), [3], empty]
+        paths += [[4, 5]] * BULK_MIN
+        bulk, single = _ledger(), _ledger()
+        bulk.add_many(*_rows(paths))
+        for row in zip(*_rows(paths)):
+            single.add(*row)
+        assert _ledger_state(bulk) == _ledger_state(single)
+        assert bulk.view().link_ids.dtype == np.int64
+
+    def test_invalidates_view(self):
+        led = _ledger()
+        led.add([0], 1.0, 0, 0, 1)
+        pm = led.view()
+        led.add_many(*_rows([[1]] * BULK_MIN))
+        assert led.view() is not pm
+        assert len(led.view()) == 1 + BULK_MIN
 
 
 class TestView:
@@ -229,14 +326,22 @@ class TestLoadPlaneInvariant:
         led = _ledger(compact_min=1)
         paths = st.lists(st.integers(0, 15), min_size=0, max_size=5)
         ops = st.sampled_from(
-            ("add", "deactivate", "retire_all", "repath", "compact")
+            ("add", "add_many", "deactivate", "retire_all", "repath",
+             "compact")
         )
         for _ in range(data.draw(st.integers(1, 30))):
             act = led.active_slots().tolist()
-            op = data.draw(ops) if act else "add"
+            op = data.draw(ops) if act else data.draw(
+                st.sampled_from(("add", "add_many"))
+            )
             if op == "add":
                 for path in data.draw(st.lists(paths, min_size=1, max_size=12)):
                     led.add(path, 1.0, 0, 0, 1)
+            elif op == "add_many":
+                # Batch sizes on both sides of the per-flow branch.
+                batch = data.draw(st.lists(paths, min_size=0, max_size=12))
+                k = len(batch)
+                led.add_many(batch, [1.0] * k, [0] * k, [0] * k, [1] * k)
             elif op == "deactivate":
                 picked = data.draw(
                     st.lists(st.sampled_from(act), min_size=1, unique=True)
